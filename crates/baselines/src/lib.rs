@@ -14,45 +14,17 @@
 //!
 //! All methods implement the same
 //! [`ConfigurationSearch`](aarc_core::search::ConfigurationSearch) trait as
-//! AARC's scheduler, so the experiment harness can swap them freely.
+//! AARC's scheduler, so the experiment harness can swap them freely; the
+//! [`methods`] registry builds any of them, AARC included, by name.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod bo;
 pub mod maff;
+pub mod methods;
 pub mod random_search;
 
 pub use bo::{BayesianOptimization, BoParams};
 pub use maff::{MaffGradientDescent, MaffParams};
 pub use random_search::{RandomSearch, RandomSearchParams};
-
-/// Convenience: all baselines boxed behind the common trait, plus AARC,
-/// in the order the paper's figures use (AARC, BO, MAFF).
-pub fn paper_methods(
-    aarc_params: aarc_core::AarcParams,
-    bo_params: BoParams,
-    maff_params: MaffParams,
-) -> Vec<Box<dyn aarc_core::ConfigurationSearch>> {
-    vec![
-        Box::new(aarc_core::GraphCentricScheduler::new(aarc_params)),
-        Box::new(BayesianOptimization::new(bo_params)),
-        Box::new(MaffGradientDescent::new(maff_params)),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_methods_are_three_in_figure_order() {
-        let methods = paper_methods(
-            aarc_core::AarcParams::default(),
-            BoParams::default(),
-            MaffParams::default(),
-        );
-        let names: Vec<&str> = methods.iter().map(|m| m.name()).collect();
-        assert_eq!(names, vec!["AARC", "BO", "MAFF"]);
-    }
-}

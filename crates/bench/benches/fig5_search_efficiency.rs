@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use aarc_baselines::methods;
 use aarc_bench::fig5_search_efficiency::measure;
-use aarc_bench::methods::MethodName;
+use aarc_bench::FIGURE_METHODS;
 use aarc_workloads::{chatbot, ml_pipeline};
 
 fn bench_fig5(c: &mut Criterion) {
@@ -13,12 +14,15 @@ fn bench_fig5(c: &mut Criterion) {
     // The chatbot and ML Pipeline workloads keep the bench runtime sane;
     // the experiments binary covers Video Analysis as well.
     for workload in [chatbot(), ml_pipeline()] {
-        for method in MethodName::ALL {
+        for name in FIGURE_METHODS {
+            let method = methods::build(name).expect("figure methods are registered");
             group.bench_with_input(
-                BenchmarkId::new(method.label(), workload.name()),
-                &(workload.clone(), method),
-                |b, (wl, m)| {
-                    b.iter(|| std::hint::black_box(measure(wl, *m).expect("search succeeds")));
+                BenchmarkId::new(method.name(), workload.name()),
+                &workload,
+                |b, wl| {
+                    b.iter(|| {
+                        std::hint::black_box(measure(wl, &*method).expect("search succeeds"))
+                    });
                 },
             );
         }

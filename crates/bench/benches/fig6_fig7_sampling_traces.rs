@@ -4,22 +4,24 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use aarc_baselines::methods;
 use aarc_bench::fig5_search_efficiency::measure;
-use aarc_bench::methods::MethodName;
+use aarc_bench::FIGURE_METHODS;
 use aarc_workloads::chatbot;
 
 fn bench_fig6_fig7(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_fig7_sampling_traces");
     group.sample_size(10);
 
-    for method in MethodName::ALL {
+    for name in FIGURE_METHODS {
+        let method = methods::build(name).expect("figure methods are registered");
         group.bench_with_input(
-            BenchmarkId::new("series", method.label()),
+            BenchmarkId::new("series", method.name()),
             &method,
-            |b, &m| {
+            |b, m| {
                 let workload = chatbot();
                 b.iter(|| {
-                    let eff = measure(&workload, m).expect("search succeeds");
+                    let eff = measure(&workload, &**m).expect("search succeeds");
                     std::hint::black_box((eff.runtime_series_ms, eff.cost_series))
                 });
             },
@@ -29,7 +31,8 @@ fn bench_fig6_fig7(c: &mut Criterion) {
     // Post-processing of an already-collected trace (best-cost running
     // minimum) — cheap, but it is what the plotting pipeline does per point.
     let workload = chatbot();
-    let eff = measure(&workload, MethodName::Aarc).expect("search succeeds");
+    let aarc = methods::build("aarc").expect("aarc is registered");
+    let eff = measure(&workload, &*aarc).expect("search succeeds");
     group.bench_function("best_cost_running_minimum", |b| {
         b.iter(|| {
             let mut best = f64::INFINITY;

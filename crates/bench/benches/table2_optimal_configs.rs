@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use aarc_bench::methods::{build_method, MethodName};
+use aarc_baselines::methods;
 use aarc_bench::table2_optimal::evaluate_config;
+use aarc_bench::FIGURE_METHODS;
 use aarc_workloads::chatbot;
 
 fn bench_table2(c: &mut Criterion) {
@@ -13,14 +14,15 @@ fn bench_table2(c: &mut Criterion) {
     group.sample_size(10);
 
     let workload = chatbot();
-    for method in MethodName::ALL {
+    for name in FIGURE_METHODS {
         // Search once outside the timed section; the bench measures the
         // repeated evaluation of the found configuration.
-        let outcome = build_method(method)
+        let method = methods::build(name).expect("figure methods are registered");
+        let outcome = method
             .search(workload.env(), workload.slo_ms())
             .expect("search succeeds");
         group.bench_with_input(
-            BenchmarkId::new("evaluate_20_runs", method.label()),
+            BenchmarkId::new("evaluate_20_runs", method.name()),
             &outcome.best_configs,
             |b, configs| {
                 b.iter(|| {

@@ -12,7 +12,6 @@
 use std::env;
 
 use aarc_bench::fig5_search_efficiency::{reduction, run_all as run_fig5};
-use aarc_bench::methods::MethodName;
 use aarc_bench::{
     ablations, fig2_decoupling, fig3_bo_motivation, fig8_input_aware, fmt_thousands, table2_optimal,
 };
@@ -158,16 +157,12 @@ fn fig5_6_7(print5: bool, print6: bool, print7: bool) {
         }
         // Headline reductions (AARC vs each baseline, per workload).
         for workload in ["chatbot", "ml-pipeline", "video-analysis"] {
-            let find = |m: MethodName| {
+            let find = |method: &str| {
                 results
                     .iter()
-                    .find(|r| r.workload == workload && r.method == m)
+                    .find(|r| r.workload == workload && r.method == method)
             };
-            if let (Some(aarc), Some(bo), Some(maff)) = (
-                find(MethodName::Aarc),
-                find(MethodName::Bo),
-                find(MethodName::Maff),
-            ) {
+            if let (Some(aarc), Some(bo), Some(maff)) = (find("AARC"), find("BO"), find("MAFF")) {
                 println!(
                     "{workload}: AARC search runtime {:.1}% vs BO, {:.1}% vs MAFF; search cost {:.1}% vs BO, {:.1}% vs MAFF (positive = AARC lower)",
                     reduction(aarc.total_runtime_s, bo.total_runtime_s) * 100.0,

@@ -2,19 +2,20 @@
 //! workflows: total sampling runtime and cost (Fig. 5) and the per-sample
 //! runtime / cost series (Figs. 6 and 7).
 
-use aarc_core::AarcError;
+use aarc_baselines::methods;
+use aarc_core::{AarcError, ConfigurationSearch};
 use aarc_simulator::EvalService;
 use aarc_workloads::{paper_workloads, Workload};
 
-use crate::methods::{build_method, MethodName};
+use crate::FIGURE_METHODS;
 
 /// Search-efficiency measurements of one (workload, method) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchEfficiency {
     /// Workload name.
     pub workload: String,
-    /// Method name.
-    pub method: MethodName,
+    /// Method name ([`ConfigurationSearch::name`]).
+    pub method: String,
     /// Number of samples (workflow executions) the search performed.
     pub samples: usize,
     /// Total sampling wall-clock runtime in seconds (Fig. 5a).
@@ -39,13 +40,16 @@ pub struct SearchEfficiency {
 /// # Errors
 ///
 /// Propagates search errors.
-pub fn measure(workload: &Workload, method: MethodName) -> Result<SearchEfficiency, AarcError> {
+pub fn measure(
+    workload: &Workload,
+    method: &dyn ConfigurationSearch,
+) -> Result<SearchEfficiency, AarcError> {
     measure_on(&EvalService::default(), workload, method)
 }
 
 /// [`measure`] over a shared [`EvalService`]: the workload is registered as
 /// a handle and the search submits through the shared pool and
-/// fingerprint-keyed cache. Results are bit-identical to a private engine.
+/// fingerprint-keyed cache. Results are bit-identical to a private service.
 ///
 /// # Errors
 ///
@@ -53,13 +57,12 @@ pub fn measure(workload: &Workload, method: MethodName) -> Result<SearchEfficien
 pub fn measure_on(
     service: &EvalService,
     workload: &Workload,
-    method: MethodName,
+    method: &dyn ConfigurationSearch,
 ) -> Result<SearchEfficiency, AarcError> {
-    let search = build_method(method);
-    let outcome = search.search_on(&service.register(workload.env().clone()), workload.slo_ms())?;
+    let outcome = method.search_on(&service.register(workload.env().clone()), workload.slo_ms())?;
     Ok(SearchEfficiency {
         workload: workload.name().to_owned(),
-        method,
+        method: method.name().to_owned(),
         samples: outcome.trace.sample_count(),
         total_runtime_s: outcome.trace.total_runtime_ms() / 1_000.0,
         total_cost: outcome.trace.total_cost(),
@@ -84,8 +87,9 @@ pub fn run_all() -> Result<Vec<SearchEfficiency>, AarcError> {
     let service = EvalService::default();
     let mut out = Vec::new();
     for workload in paper_workloads() {
-        for method in MethodName::ALL {
-            out.push(measure_on(&service, &workload, method)?);
+        for name in FIGURE_METHODS {
+            let method = methods::build(name).expect("figure methods are registered");
+            out.push(measure_on(&service, &workload, &*method)?);
         }
     }
     Ok(out)
@@ -105,11 +109,15 @@ mod tests {
     use super::*;
     use aarc_workloads::chatbot;
 
+    fn measure_named(workload: &Workload, name: &str) -> SearchEfficiency {
+        measure(workload, &*methods::build(name).unwrap()).unwrap()
+    }
+
     #[test]
     fn aarc_beats_bo_on_chatbot_final_cost_with_comparable_search_effort() {
         let wl = chatbot();
-        let aarc = measure(&wl, MethodName::Aarc).unwrap();
-        let bo = measure(&wl, MethodName::Bo).unwrap();
+        let aarc = measure_named(&wl, "aarc");
+        let bo = measure_named(&wl, "bo");
         assert!(aarc.final_meets_slo);
         assert!(bo.final_meets_slo);
         // On the Chatbot workload (serial functions near the SLO) the two
@@ -141,8 +149,8 @@ mod tests {
     #[test]
     fn aarc_beats_maff_final_cost_on_chatbot() {
         let wl = chatbot();
-        let aarc = measure(&wl, MethodName::Aarc).unwrap();
-        let maff = measure(&wl, MethodName::Maff).unwrap();
+        let aarc = measure_named(&wl, "aarc");
+        let maff = measure_named(&wl, "maff");
         assert!(maff.final_meets_slo);
         assert!(
             aarc.final_cost < maff.final_cost,
@@ -161,7 +169,8 @@ mod tests {
     #[test]
     fn measurements_carry_full_series() {
         let wl = chatbot();
-        let aarc = measure(&wl, MethodName::Aarc).unwrap();
+        let aarc = measure_named(&wl, "aarc");
+        assert_eq!(aarc.method, "AARC");
         assert_eq!(aarc.samples, aarc.runtime_series_ms.len());
         assert_eq!(aarc.samples, aarc.cost_series.len());
         assert!(aarc.samples > 3);

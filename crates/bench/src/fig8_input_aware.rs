@@ -5,12 +5,13 @@
 
 use std::collections::BTreeMap;
 
-use aarc_core::{AarcError, AarcParams, GraphCentricScheduler, InputAwareEngine};
+use aarc_baselines::methods;
+use aarc_core::{
+    AarcError, AarcParams, ConfigurationSearch, GraphCentricScheduler, InputAwareEngine,
+};
 use aarc_simulator::{ConfigMap, EvalService, InputClass};
 use aarc_workloads::inputs::request_sequence;
 use aarc_workloads::video_analysis;
-
-use crate::methods::{build_method, MethodName};
 
 /// Outcome of serving one request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,8 +31,8 @@ pub struct RequestOutcome {
 /// The Fig. 8 measurements for one method.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InputAwareResult {
-    /// Method name.
-    pub method: MethodName,
+    /// Method name ([`ConfigurationSearch::name`]).
+    pub method: String,
     /// Per-request outcomes (Fig. 8a).
     pub requests: Vec<RequestOutcome>,
     /// Average cost per input class (Fig. 8b).
@@ -41,7 +42,7 @@ pub struct InputAwareResult {
 }
 
 impl InputAwareResult {
-    fn from_requests(method: MethodName, requests: Vec<RequestOutcome>) -> Self {
+    fn from_requests(method: &str, requests: Vec<RequestOutcome>) -> Self {
         let mut sums: BTreeMap<InputClass, (f64, usize)> = BTreeMap::new();
         for r in &requests {
             let e = sums.entry(r.class).or_insert((0.0, 0));
@@ -54,7 +55,7 @@ impl InputAwareResult {
             .collect();
         let slo_violations = requests.iter().filter(|r| !r.met_slo).count();
         InputAwareResult {
-            method,
+            method: method.to_owned(),
             requests,
             avg_cost_per_class,
             slo_violations,
@@ -101,16 +102,16 @@ pub fn run(total_requests: usize) -> Result<Vec<InputAwareResult>, AarcError> {
         });
     }
     results.push(InputAwareResult::from_requests(
-        MethodName::Aarc,
+        scheduler.name(),
         aarc_requests,
     ));
 
     // Static baselines: one configuration for all inputs.
-    for method in [MethodName::Bo, MethodName::Maff] {
-        let search = build_method(method);
+    for name in ["bo", "maff"] {
+        let search = methods::build(name).expect("baselines are registered");
         let outcome = search.search_on(&service.register(env.clone()), slo)?;
         results.push(serve_static(
-            method,
+            search.name(),
             &outcome.best_configs,
             &requests,
             slo,
@@ -121,7 +122,7 @@ pub fn run(total_requests: usize) -> Result<Vec<InputAwareResult>, AarcError> {
 }
 
 fn serve_static(
-    method: MethodName,
+    method: &str,
     configs: &ConfigMap,
     requests: &[(InputClass, aarc_simulator::InputSpec)],
     slo: f64,
@@ -152,7 +153,7 @@ mod tests {
         let results = run(9).unwrap();
         assert_eq!(results.len(), 3);
         let aarc = &results[0];
-        assert_eq!(aarc.method, MethodName::Aarc);
+        assert_eq!(aarc.method, "AARC");
         assert_eq!(
             aarc.slo_violations, 0,
             "input-aware AARC must stay within the SLO"

@@ -14,10 +14,14 @@ pub mod fig2_decoupling;
 pub mod fig3_bo_motivation;
 pub mod fig5_search_efficiency;
 pub mod fig8_input_aware;
-pub mod methods;
 pub mod table2_optimal;
 
-pub use methods::{default_methods, MethodName};
+/// The names, in the [`aarc_baselines::methods`] registry, of the three
+/// methods the paper's figures compare, in figure order. Result rows are
+/// labelled with each method's
+/// [`ConfigurationSearch::name`](aarc_core::ConfigurationSearch::name)
+/// ("AARC", "BO", "MAFF").
+pub const FIGURE_METHODS: [&str; 3] = ["aarc", "bo", "maff"];
 
 /// Formats a floating-point number with thousands separators for table
 /// output (e.g. `1234567.8` → `"1,234,567.8"`).

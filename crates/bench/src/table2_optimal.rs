@@ -3,12 +3,13 @@
 //! with runtime jitter (the paper executes each found configuration 100
 //! times).
 
-use aarc_core::AarcError;
+use aarc_baselines::methods;
+use aarc_core::{AarcError, ConfigurationSearch};
 use aarc_simulator::metrics::Summary;
 use aarc_simulator::{ClusterSpec, ConfigMap, EvalService, WorkflowEnvironment};
 use aarc_workloads::{paper_workloads, Workload};
 
-use crate::methods::{build_method, MethodName};
+use crate::FIGURE_METHODS;
 
 /// One row of Table II: a (workload, method) pair with its repeated-execution
 /// statistics.
@@ -16,8 +17,8 @@ use crate::methods::{build_method, MethodName};
 pub struct OptimalConfigRow {
     /// Workload name.
     pub workload: String,
-    /// Method name.
-    pub method: MethodName,
+    /// Method name ([`ConfigurationSearch::name`]).
+    pub method: String,
     /// Mean end-to-end runtime in seconds.
     pub runtime_mean_s: f64,
     /// Standard deviation of the runtime in seconds.
@@ -80,7 +81,7 @@ pub fn evaluate_config(
 /// Propagates search and execution errors.
 pub fn measure(
     workload: &Workload,
-    method: MethodName,
+    method: &dyn ConfigurationSearch,
     repetitions: usize,
 ) -> Result<OptimalConfigRow, AarcError> {
     measure_on(&EvalService::default(), workload, method, repetitions)
@@ -94,11 +95,10 @@ pub fn measure(
 pub fn measure_on(
     service: &EvalService,
     workload: &Workload,
-    method: MethodName,
+    method: &dyn ConfigurationSearch,
     repetitions: usize,
 ) -> Result<OptimalConfigRow, AarcError> {
-    let search = build_method(method);
-    let outcome = search.search_on(&service.register(workload.env().clone()), workload.slo_ms())?;
+    let outcome = method.search_on(&service.register(workload.env().clone()), workload.slo_ms())?;
     let (runtime, cost, violations) = evaluate_config(
         workload.env(),
         &outcome.best_configs,
@@ -107,7 +107,7 @@ pub fn measure_on(
     )?;
     Ok(OptimalConfigRow {
         workload: workload.name().to_owned(),
-        method,
+        method: method.name().to_owned(),
         runtime_mean_s: runtime.mean,
         runtime_std_s: runtime.std_dev,
         cost_mean: cost.mean,
@@ -125,8 +125,9 @@ pub fn run_all(repetitions: usize) -> Result<Vec<OptimalConfigRow>, AarcError> {
     let service = EvalService::default();
     let mut rows = Vec::new();
     for workload in paper_workloads() {
-        for method in MethodName::ALL {
-            rows.push(measure_on(&service, &workload, method, repetitions)?);
+        for name in FIGURE_METHODS {
+            let method = methods::build(name).expect("figure methods are registered");
+            rows.push(measure_on(&service, &workload, &*method, repetitions)?);
         }
     }
     Ok(rows)
@@ -137,10 +138,15 @@ mod tests {
     use super::*;
     use aarc_workloads::chatbot;
 
+    fn measure_named(workload: &Workload, name: &str, repetitions: usize) -> OptimalConfigRow {
+        measure(workload, &*methods::build(name).unwrap(), repetitions).unwrap()
+    }
+
     #[test]
     fn repeated_executions_meet_the_slo_and_have_small_variance() {
         let wl = chatbot();
-        let row = measure(&wl, MethodName::Aarc, 10).unwrap();
+        let row = measure_named(&wl, "aarc", 10);
+        assert_eq!(row.method, "AARC");
         assert_eq!(row.repetitions, 10);
         assert_eq!(
             row.slo_violations, 0,
@@ -157,8 +163,8 @@ mod tests {
     #[test]
     fn aarc_row_is_cheaper_than_maff_row_for_chatbot() {
         let wl = chatbot();
-        let aarc = measure(&wl, MethodName::Aarc, 5).unwrap();
-        let maff = measure(&wl, MethodName::Maff, 5).unwrap();
+        let aarc = measure_named(&wl, "aarc", 5);
+        let maff = measure_named(&wl, "maff", 5);
         assert!(aarc.cost_mean < maff.cost_mean);
         assert_eq!(maff.slo_violations, 0);
     }

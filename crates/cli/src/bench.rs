@@ -41,37 +41,21 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use aarc_baselines::methods;
 use aarc_simulator::kernel::{BatchSim, CompiledScenario, SimScratch};
 use aarc_simulator::{ConfigMap, EvalOptions, EvalService, EvalTelemetry, ResourceConfig};
 use aarc_telemetry::{FlightRecorder, Recorder};
 use aarc_workloads::Workload;
 
-use crate::methods;
 use crate::version::VersionInfo;
 
-/// Version stamp of the `BENCH_*.json` schema (2 added the aggregate
-/// shared-pool phase; 3 added per-batch eval latency percentiles and build
-/// provenance; 4 added the optional `serve` phase written by
-/// `aarc loadtest --bench`; 5 replaced the 1-vs-N throughput pair with the
-/// `thread_scaling` curve and added the `incremental_resim` and
-/// `batch_dedup` phases; 6 added the `alloc` phase — result-slab
-/// allocations per simulation from the round-three kernel counters, gated
-/// by `--max-allocs-per-sim`). Version-1..5 baselines still parse — the
-/// added fields are optional and simply absent, and the legacy
-/// `single_thread`/`multi_thread` pair is still read through the
-/// [`BenchScenario`] accessors for gating.
+/// Version stamp of the `BENCH_*.json` schema: the thread-scaling curve,
+/// the incremental re-simulation, batch dedup and result-slab allocation
+/// phases, the all-methods search phase, the aggregate shared-pool phase
+/// and the optional `serve` phase written by `aarc loadtest --bench`. A
+/// `--baseline` must carry exactly this version ([`parse_baseline`]); the
+/// older `bench/BENCH_*.json` files are records, not inputs.
 pub const BENCH_VERSION: u32 = 6;
-
-/// One timed batch evaluation at a fixed thread count.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ThroughputPhase {
-    /// Wall-clock time of the batch, ms.
-    pub wall_ms: f64,
-    /// Simulations executed.
-    pub simulations: u64,
-    /// Simulations per second.
-    pub sims_per_sec: f64,
-}
 
 /// One point of the thread-scaling curve: the candidate batch evaluated on
 /// a work-stealing pool of `threads` workers.
@@ -98,7 +82,6 @@ pub struct IncrementalPhase {
     pub probes: u64,
     /// Times the chain was replayed per timed loop; both wall-clocks and
     /// the kernel counters below span `probes * rounds` simulations.
-    #[serde(default)]
     pub rounds: u64,
     /// Wall-clock of the full event-loop re-simulation of every probe, ms.
     pub full_wall_ms: f64,
@@ -179,7 +162,8 @@ pub struct SearchPhase {
     pub cache_misses: u64,
     /// Fraction of evaluations served from the cache.
     pub cache_hit_rate: f64,
-    /// Eval request latency percentiles (absent in version-1/2 baselines).
+    /// Eval request latency percentiles (absent when no request was
+    /// timed).
     pub latency: Option<LatencyPercentiles>,
 }
 
@@ -192,48 +176,34 @@ pub struct BenchScenario {
     pub spec_fingerprint: u64,
     /// Number of workflow functions.
     pub functions: usize,
-    /// Legacy 1-thread throughput of version-1..4 baselines; version-5
-    /// reports carry the full `thread_scaling` curve instead.
-    #[serde(default)]
-    pub single_thread: Option<ThroughputPhase>,
-    /// Legacy N-thread throughput of version-1..4 baselines.
-    #[serde(default)]
-    pub multi_thread: Option<ThroughputPhase>,
     /// The thread-scaling curve at 1, 2, 4 and the requested thread count
-    /// (deduplicated, capped at `--threads`; empty in version-1..4
-    /// baselines).
-    #[serde(default)]
+    /// (deduplicated, capped at `--threads`).
     pub thread_scaling: Vec<ScalingPoint>,
     /// Peak-over-1-thread throughput ratio (the last curve point's
-    /// speedup; `multi/single` in legacy baselines).
+    /// speedup).
     pub speedup: f64,
-    /// The incremental re-simulation phase (absent in version-1..4
-    /// baselines).
-    #[serde(default)]
+    /// The incremental re-simulation phase.
     pub incremental_resim: Option<IncrementalPhase>,
-    /// The intra-batch dedup phase (absent in version-1..4 baselines).
-    #[serde(default)]
+    /// The intra-batch dedup phase.
     pub batch_dedup: Option<DedupPhase>,
-    /// The result-slab allocation phase (absent in version-1..5
-    /// baselines).
-    #[serde(default)]
+    /// The result-slab allocation phase; `--max-allocs-per-sim` fails a
+    /// report that lacks it.
     pub alloc: Option<AllocPhase>,
     /// The all-methods search phase.
     pub search: SearchPhase,
 }
 
 impl BenchScenario {
-    /// Best throughput over the scaling curve, or the legacy multi-thread
-    /// phase of version-1..4 baselines. The max, not the last point: on a
-    /// multicore runner they coincide, while on an oversubscribed small
-    /// box the 1-thread point is both the fastest and the most stable —
-    /// gating the max keeps the regression check about the code.
+    /// Best throughput over the scaling curve. The max, not the last
+    /// point: on a multicore runner they coincide, while on an
+    /// oversubscribed small box the 1-thread point is both the fastest and
+    /// the most stable — gating the max keeps the regression check about
+    /// the code.
     pub fn peak_sims_per_sec(&self) -> Option<f64> {
         self.thread_scaling
             .iter()
             .map(|p| p.sims_per_sec)
             .max_by(f64::total_cmp)
-            .or(self.multi_thread.map(|p| p.sims_per_sec))
     }
 }
 
@@ -272,9 +242,7 @@ pub struct ServePhase {
     pub rejected_503: u64,
     /// Requests answered 5xx — always 0 on a passing run.
     pub server_errors_5xx: u64,
-    /// Client-side retries after a 429/503 with `Retry-After` (absent in
-    /// reports written before the retrying client; defaults to 0).
-    #[serde(default)]
+    /// Client-side retries after a 429/503 with `Retry-After`.
     pub retries: u64,
     /// Wall-clock time of the whole loadtest, ms.
     pub wall_ms: f64,
@@ -293,14 +261,12 @@ pub struct BenchReport {
     pub batch: usize,
     /// One entry per benched spec, in argument order.
     pub scenarios: Vec<BenchScenario>,
-    /// The aggregate shared-pool phase over all scenarios (absent in
-    /// version-1 baselines).
+    /// The aggregate shared-pool phase over all scenarios.
     pub aggregate: Option<AggregatePhase>,
-    /// Provenance of the binary that produced the report (absent in
-    /// version-1/2 baselines).
+    /// Provenance of the binary that produced the report.
     pub build_info: Option<VersionInfo>,
     /// The serving phase, merged in by `aarc loadtest --bench` (absent in
-    /// version-1/2/3 baselines and in plain `aarc bench` reports).
+    /// plain `aarc bench` reports).
     pub serve: Option<ServePhase>,
     /// Sum of the per-scenario search wall-clocks, ms.
     pub total_search_wall_ms: f64,
@@ -333,12 +299,13 @@ fn candidate_batch(workload: &Workload, fingerprint: u64, batch: usize) -> Vec<C
 }
 
 /// Times one batch evaluation on a fresh, cache-less service with
-/// `threads` workers.
+/// `threads` workers: the best wall-clock in ms and the simulations one
+/// pass ran.
 fn time_batch(
     workload: &Workload,
     candidates: &[ConfigMap],
     threads: usize,
-) -> Result<ThroughputPhase, String> {
+) -> Result<(f64, u64), String> {
     // The cache is disabled so the phase times raw simulation throughput,
     // not memoisation.
     let service = EvalService::new(EvalOptions {
@@ -361,15 +328,7 @@ fn time_batch(
         wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
         simulations = handle.stats().simulations() - before;
     }
-    Ok(ThroughputPhase {
-        wall_ms,
-        simulations,
-        sims_per_sec: if wall_ms > 0.0 {
-            simulations as f64 / (wall_ms / 1_000.0)
-        } else {
-            f64::INFINITY
-        },
-    })
+    Ok((wall_ms, simulations))
 }
 
 /// The thread counts of the scaling curve: 1, 2, 4 and the requested
@@ -392,21 +351,19 @@ fn time_scaling(
 ) -> Result<Vec<ScalingPoint>, String> {
     let mut curve: Vec<ScalingPoint> = Vec::new();
     for t in scaling_thread_counts(threads) {
-        let phase = time_batch(workload, candidates, t)?;
-        let base = curve
-            .first()
-            .map(|p| p.sims_per_sec)
-            .unwrap_or(phase.sims_per_sec);
+        let (wall_ms, simulations) = time_batch(workload, candidates, t)?;
+        let sims_per_sec = if wall_ms > 0.0 {
+            simulations as f64 / (wall_ms / 1_000.0)
+        } else {
+            f64::INFINITY
+        };
+        let base = curve.first().map_or(sims_per_sec, |p| p.sims_per_sec);
         curve.push(ScalingPoint {
             threads: t,
-            wall_ms: phase.wall_ms,
-            simulations: phase.simulations,
-            sims_per_sec: phase.sims_per_sec,
-            speedup: if base > 0.0 {
-                phase.sims_per_sec / base
-            } else {
-                1.0
-            },
+            wall_ms,
+            simulations,
+            sims_per_sec,
+            speedup: if base > 0.0 { sims_per_sec / base } else { 1.0 },
         });
     }
     Ok(curve)
@@ -710,8 +667,6 @@ pub fn run_bench(
             scenario: workload.name().to_owned(),
             spec_fingerprint: fingerprint,
             functions: workload.len(),
-            single_thread: None,
-            multi_thread: None,
             speedup: thread_scaling.last().map(|p| p.speedup).unwrap_or(1.0),
             thread_scaling,
             incremental_resim: Some(incremental_resim),
@@ -739,6 +694,26 @@ pub fn run_bench(
         total_search_wall_ms,
         mean_speedup,
     })
+}
+
+/// Parses a `--baseline` report. Only [`BENCH_VERSION`] reports are read:
+/// a report of any other version is refused with a message naming both
+/// versions, before its fields are looked at.
+///
+/// # Errors
+///
+/// Returns a user-facing message when `raw` is not JSON, carries another
+/// schema version, or does not match the schema.
+pub fn parse_baseline(raw: &str) -> Result<BenchReport, String> {
+    let value = serde_json::parse(raw).map_err(|e| e.to_string())?;
+    let version = value.get("version").and_then(|v| u64::from_value(v).ok());
+    if version != Some(u64::from(BENCH_VERSION)) {
+        let found = version.map_or_else(|| "no version".to_owned(), |v| format!("version {v}"));
+        return Err(format!(
+            "bench schema {found} is not supported; this aarc reads only version {BENCH_VERSION}"
+        ));
+    }
+    serde_json::from_value(&value).map_err(|e| e.to_string())
 }
 
 /// Gate checks: regression vs a committed baseline, minimum parallel
@@ -778,8 +753,6 @@ pub fn gate_failures(
                     max_regress * 100.0
                 ));
             }
-            // Peak throughput reads through the accessors so version-1..4
-            // baselines (legacy pair) gate against version-5 runs (curve).
             if let (Some(base_sims), Some(cur_sims)) =
                 (base_scenario.peak_sims_per_sec(), cur.peak_sims_per_sec())
             {
@@ -869,8 +842,7 @@ pub fn gate_failures(
         }
         if !any_measured {
             failures.push(
-                "`--max-allocs-per-sim` set but no benched scenario carries an alloc phase — \
-                 the report predates bench schema v6"
+                "`--max-allocs-per-sim` set but no benched scenario carries an alloc phase"
                     .to_owned(),
             );
         }
@@ -892,8 +864,11 @@ pub fn gate_failures(
 mod tests {
     use super::*;
 
-    fn tiny_spec_path() -> String {
-        let dir = std::env::temp_dir().join("aarc-bench-mod-test");
+    /// Writes a small synthetic spec into a temp dir of the test's own,
+    /// so parallel tests never write the same file.
+    fn tiny_spec_path(test: &str) -> String {
+        let dir =
+            std::env::temp_dir().join(format!("aarc-bench-mod-test-{test}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tiny.yaml");
         let spec = aarc_spec::synthetic_spec(aarc_spec::SynthParams {
@@ -908,14 +883,11 @@ mod tests {
 
     #[test]
     fn bench_produces_consistent_scenarios_and_roundtrips_as_json() {
-        let path = tiny_spec_path();
+        let path = tiny_spec_path("roundtrip");
         let report = run_bench(&[path], 2, 32).unwrap();
         assert_eq!(report.version, BENCH_VERSION);
         assert_eq!(report.scenarios.len(), 1);
         let s = &report.scenarios[0];
-        // v5+ reports carry the scaling curve, not the legacy pair.
-        assert!(s.single_thread.is_none());
-        assert!(s.multi_thread.is_none());
         let curve: Vec<usize> = s.thread_scaling.iter().map(|p| p.threads).collect();
         assert_eq!(curve, vec![1, 2], "curve capped at --threads and deduped");
         for point in &s.thread_scaling {
@@ -967,7 +939,7 @@ mod tests {
         let build = report.build_info.as_ref().expect("provenance is stamped");
         assert_eq!(*build, crate::version::VersionInfo::current());
         let json = serde_json::to_string_pretty(&report).unwrap();
-        let parsed: BenchReport = serde_json::from_str(&json).unwrap();
+        let parsed = parse_baseline(&json).unwrap();
         assert_eq!(parsed.scenarios[0].scenario, s.scenario);
         assert_eq!(parsed.scenarios[0].spec_fingerprint, s.spec_fingerprint);
         assert!(parsed.aggregate.is_some());
@@ -975,54 +947,14 @@ mod tests {
         assert_eq!(parsed.build_info, report.build_info);
     }
 
-    /// Removes every occurrence of `key` anywhere in a JSON tree — used to
-    /// reconstruct the older baseline schemas from a current report.
-    fn strip_key(v: &mut serde::Value, key: &str) {
-        match v {
-            serde::Value::Map(entries) => {
-                entries.retain(|(k, _)| k != key);
-                for (_, child) in entries.iter_mut() {
-                    strip_key(child, key);
-                }
-            }
-            serde::Value::Seq(items) => {
-                for item in items.iter_mut() {
-                    strip_key(item, key);
-                }
-            }
-            _ => {}
-        }
-    }
-
     #[test]
-    fn version_2_baselines_without_latency_or_build_info_still_parse() {
-        let path = tiny_spec_path();
-        let report = run_bench(&[path], 1, 8).unwrap();
-        let mut v2 = serde_json::to_value(&report);
-        strip_key(&mut v2, "latency");
-        strip_key(&mut v2, "build_info");
-        let parsed: BenchReport = serde_json::from_value(&v2).unwrap();
-        assert!(parsed.scenarios[0].search.latency.is_none());
-        assert!(parsed.build_info.is_none());
-        // Gating against a pre-latency baseline works unchanged: the gate
-        // only reads wall-clock and throughput, which v2 still carries.
-        assert!(gate_failures(&report, Some(&parsed), 0.2, None, None, None).is_empty());
-    }
-
-    #[test]
-    fn version_3_baselines_without_a_serve_phase_still_parse() {
-        let path = tiny_spec_path();
+    fn serve_phase_round_trips() {
+        let path = tiny_spec_path("serve-phase");
         let report = run_bench(&[path], 1, 8).unwrap();
         assert!(
             report.serve.is_none(),
             "plain bench never adds a serve phase"
         );
-        let mut v3 = serde_json::to_value(&report);
-        strip_key(&mut v3, "serve");
-        let parsed: BenchReport = serde_json::from_value(&v3).unwrap();
-        assert!(parsed.serve.is_none());
-        assert!(gate_failures(&report, Some(&parsed), 0.2, None, None, None).is_empty());
-        // And a report that does carry a serve phase round-trips.
         let mut with_serve = report.clone();
         with_serve.serve = Some(ServePhase {
             requests: 100,
@@ -1039,102 +971,30 @@ mod tests {
             requests_per_sec: 400.0,
         });
         let json = serde_json::to_string_pretty(&with_serve).unwrap();
-        let parsed: BenchReport = serde_json::from_str(&json).unwrap();
+        let parsed = parse_baseline(&json).unwrap();
         let serve = parsed.serve.expect("serve phase survives the round-trip");
         assert_eq!(serve.requests, 100);
         assert_eq!(serve.rejected_429, 10);
         assert_eq!(serve.server_errors_5xx, 0);
         assert_eq!(serve.retries, 4);
-        // A serve phase written before the retrying client lacks the
-        // `retries` key; this reader defaults it to 0.
-        let mut pre_retry = serde_json::to_value(&with_serve);
-        strip_key(&mut pre_retry, "retries");
-        let parsed: BenchReport = serde_json::from_value(&pre_retry).unwrap();
-        assert_eq!(parsed.serve.expect("serve phase").retries, 0);
-    }
-
-    #[test]
-    fn version_1_baselines_without_aggregate_still_parse() {
-        let path = tiny_spec_path();
-        let report = run_bench(&[path], 1, 8).unwrap();
-        let mut json = serde_json::to_string_pretty(&report).unwrap();
-        // Strip the aggregate block the way a version-1 baseline lacks it.
-        let start = json.find("\"aggregate\"").unwrap();
-        let end = json[start..].find("},").unwrap() + start + 2;
-        json.replace_range(start..end, "");
-        let parsed: BenchReport = serde_json::from_str(&json).unwrap();
-        assert!(parsed.aggregate.is_none());
-        // Gating a report against an aggregate-less baseline skips the
-        // aggregate check instead of failing.
+        // The gate reads wall-clock and throughput only, so a serve phase
+        // on the baseline never trips it.
         assert!(gate_failures(&report, Some(&parsed), 0.2, None, None, None).is_empty());
     }
 
     #[test]
-    fn version_4_baselines_with_the_legacy_throughput_pair_still_parse() {
-        let path = tiny_spec_path();
+    fn alloc_ceiling_fails_loudly_on_a_report_without_the_phase() {
+        let path = tiny_spec_path("alloc-missing");
         let report = run_bench(&[path], 1, 8).unwrap();
-        // Reconstruct a version-4 document: the legacy 1-vs-N pair instead
-        // of the v5 curve and phases.
-        let legacy = ThroughputPhase {
-            wall_ms: report.scenarios[0].thread_scaling[0].wall_ms,
-            simulations: report.scenarios[0].thread_scaling[0].simulations,
-            sims_per_sec: report.scenarios[0].thread_scaling[0].sims_per_sec,
-        };
-        let mut v4_report = report.clone();
-        v4_report.version = 4;
-        v4_report.scenarios[0].single_thread = Some(legacy);
-        v4_report.scenarios[0].multi_thread = Some(legacy);
-        let mut v4 = serde_json::to_value(&v4_report);
-        strip_key(&mut v4, "thread_scaling");
-        strip_key(&mut v4, "incremental_resim");
-        strip_key(&mut v4, "batch_dedup");
-        let parsed: BenchReport = serde_json::from_value(&v4).unwrap();
-        let s = &parsed.scenarios[0];
-        assert!(s.thread_scaling.is_empty());
-        assert!(s.incremental_resim.is_none());
-        assert!(s.batch_dedup.is_none());
-        // The accessor reads through to the legacy pair...
-        assert_eq!(
-            s.peak_sims_per_sec(),
-            Some(legacy.sims_per_sec),
-            "legacy multi-thread throughput must surface through the accessor"
-        );
-        // ...so a v5 run gates cleanly against a v4 baseline.
-        assert!(gate_failures(&report, Some(&parsed), 0.2, None, None, None).is_empty());
-        // A v4 baseline that was 10x faster still trips the throughput gate.
-        let mut fast = parsed.clone();
-        fast.scenarios[0]
-            .multi_thread
-            .as_mut()
-            .unwrap()
-            .sims_per_sec *= 10.0;
-        let failures = gate_failures(&report, Some(&fast), 0.2, None, None, None);
+        let mut without_alloc = report.clone();
+        without_alloc.scenarios[0].alloc = None;
+        // The ceiling reads only the current report, never the baseline.
         assert!(
-            failures.iter().any(|f| f.contains("simulations/sec")),
-            "{failures:?}"
+            gate_failures(&report, Some(&without_alloc), 0.2, None, None, Some(1.0)).is_empty()
         );
-    }
-
-    #[test]
-    fn version_5_baselines_without_an_alloc_phase_still_parse() {
-        let path = tiny_spec_path();
-        let report = run_bench(&[path], 1, 8).unwrap();
-        // Reconstruct a version-5 document: everything v6 carries except
-        // the alloc block.
-        let mut v5_report = report.clone();
-        v5_report.version = 5;
-        let mut v5 = serde_json::to_value(&v5_report);
-        strip_key(&mut v5, "alloc");
-        let parsed: BenchReport = serde_json::from_value(&v5).unwrap();
-        assert!(parsed.scenarios[0].alloc.is_none());
-        assert!(parsed.scenarios[0].incremental_resim.is_some());
-        assert!(parsed.scenarios[0].batch_dedup.is_some());
-        // A v6 run gates cleanly against a v5 baseline — the alloc ceiling
-        // reads only the current report.
-        assert!(gate_failures(&report, Some(&parsed), 0.2, None, None, Some(1.0)).is_empty());
-        // But arming the ceiling against a report that itself lacks the
-        // phase fails loudly instead of silently passing.
-        let failures = gate_failures(&parsed, None, 0.2, None, None, Some(1.0));
+        // Arming it against a report that lacks the phase fails instead of
+        // silently passing.
+        let failures = gate_failures(&without_alloc, None, 0.2, None, None, Some(1.0));
         assert!(
             failures.iter().any(|f| f.contains("alloc phase")),
             "{failures:?}"
@@ -1142,8 +1002,24 @@ mod tests {
     }
 
     #[test]
+    fn baselines_of_another_schema_version_are_refused() {
+        for (doc, found) in [
+            ("{\"version\": 5, \"scenarios\": []}", "version 5"),
+            ("{\"version\": 7}", "version 7"),
+            ("{\"threads\": 4}", "no version"),
+        ] {
+            let err = parse_baseline(doc).unwrap_err();
+            assert!(
+                err.contains(found) && err.contains(&format!("version {BENCH_VERSION}")),
+                "{err}"
+            );
+        }
+        assert!(parse_baseline("not json").is_err());
+    }
+
+    #[test]
     fn gate_enforces_the_result_slab_allocation_ceiling() {
-        let path = tiny_spec_path();
+        let path = tiny_spec_path("alloc-ceiling");
         let report = run_bench(&[path], 1, 32).unwrap();
         // The measured batch path sits at one slab per chunk, far below
         // one allocation per simulation.
@@ -1162,7 +1038,7 @@ mod tests {
 
     #[test]
     fn gate_enforces_the_incremental_resimulation_floor() {
-        let path = tiny_spec_path();
+        let path = tiny_spec_path("incremental-floor");
         let report = run_bench(&[path], 1, 32).unwrap();
         // An unreachable incremental floor fails.
         let failures = gate_failures(&report, None, 0.2, None, Some(1_000_000.0), None);
@@ -1191,7 +1067,7 @@ mod tests {
 
     #[test]
     fn gate_flags_aggregate_shared_pool_regressions() {
-        let path = tiny_spec_path();
+        let path = tiny_spec_path("aggregate-gate");
         let report = run_bench(&[path], 1, 16).unwrap();
         let mut fast = report.clone();
         fast.aggregate.as_mut().unwrap().sims_per_sec *= 10.0;
@@ -1204,7 +1080,7 @@ mod tests {
 
     #[test]
     fn gate_flags_regressions_and_weak_speedup() {
-        let path = tiny_spec_path();
+        let path = tiny_spec_path("regression-gate");
         let report = run_bench(&[path], 1, 16).unwrap();
         // Identical runs never regress against themselves.
         assert!(gate_failures(&report, Some(&report), 0.2, None, None, None).is_empty());

@@ -2,14 +2,14 @@
 
 use std::path::{Path, PathBuf};
 
+use aarc_baselines::methods;
 use aarc_core::report::ConfigurationReport;
-use aarc_simulator::{EvalEngine, EvalService};
+use aarc_simulator::EvalService;
 use aarc_spec::{compile, load, validate, SpecFormat, SynthParams};
 use aarc_telemetry::{LogFormat, LogLevel, Logger};
 
 use crate::args::Args;
 use crate::bench;
-use crate::methods;
 use crate::report::CompareReport;
 use crate::sweep::{self, SweepClass};
 use crate::tenant::TenantRegistry;
@@ -78,7 +78,7 @@ USAGE:
                                                 fails the run). --hold pauses
                                                 sessions to pin peak concurrency;
                                                 --bench merges a `serve` phase into an
-                                                `aarc bench` JSON report (schema v4)
+                                                `aarc bench` JSON report (schema v6)
     aarc export-builtin [--dir DIR] [--format yaml|json]
                                                 write the three paper workloads as specs
     aarc generate --seed N [--layers N] [--max-width N] [--edge-prob P]
@@ -303,9 +303,10 @@ fn cmd_run(argv: &[String]) -> Result<(), String> {
     let threads = parse_threads(&args)?;
     let method = methods::build(args.get("method").unwrap_or("aarc"))?;
 
-    let engine = EvalEngine::with_threads(workload.env().clone(), threads);
+    let service = EvalService::with_threads(threads);
+    let handle = service.register(workload.env().clone());
     let outcome = method
-        .search_with(&engine, slo_ms)
+        .search_on(&handle, slo_ms)
         .map_err(|e| format!("search failed: {e}"))?;
     let report = ConfigurationReport::new(
         workload.env(),
@@ -313,14 +314,14 @@ fn cmd_run(argv: &[String]) -> Result<(), String> {
         &outcome.final_report,
         Some(slo_ms),
     );
-    let stats = engine.stats();
+    let stats = handle.stats();
     let text = match args.get("format").unwrap_or("text") {
         "text" => {
             // The search itself only ever sees lean `SimResult`s; the full
             // report with the event trace is materialised here, once, for
             // the winner.
             let full = outcome
-                .materialize_report(&engine)
+                .materialize_report(&handle)
                 .map_err(|e| format!("materialising the winning report failed: {e}"))?;
             format!(
                 "{report}\nsearch: {} samples, total cost {:.1}, total runtime {:.1} ms\neval: {} simulations, {} cache hits ({:.1}% hit rate)\ntrace: {} events recorded for the winning execution\n",
@@ -408,14 +409,14 @@ fn cmd_sweep(argv: &[String]) -> Result<(), String> {
     let slo_override = args.get_parsed::<f64>("slo")?;
 
     let method_names: Vec<&'static str> = match args.get("methods") {
-        None => methods::METHOD_NAMES.to_vec(),
+        None => methods::NAMES.to_vec(),
         Some(list) => list
             .split(',')
             .map(|name| {
                 // Resolve through the builder so unknown names fail with
                 // the same message as `run --method`.
                 methods::build(name.trim())?;
-                Ok(methods::METHOD_NAMES
+                Ok(methods::NAMES
                     .iter()
                     .copied()
                     .find(|&n| n == name.trim())
@@ -554,7 +555,7 @@ fn cmd_bench(argv: &[String]) -> Result<(), String> {
         Some(path) => {
             let raw = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             Some(
-                serde_json::from_str::<bench::BenchReport>(&raw)
+                bench::parse_baseline(&raw)
                     .map_err(|e| format!("{path}: invalid baseline: {e}"))?,
             )
         }

@@ -15,7 +15,7 @@
 //! the binding constraint) fails the run, as does a peak below
 //! `--min-concurrent`. Results are printed as JSON, optionally written to
 //! `--out`, and `--bench FILE` merges them into an existing `aarc bench`
-//! report as its `serve` phase (schema v4).
+//! report as its `serve` phase.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use aarc_telemetry::{Histogram, LogFormat, LogLevel, Logger};
 
-use crate::bench::{BenchReport, ServePhase, BENCH_VERSION};
+use crate::bench::{self, ServePhase};
 use crate::client::{http_request_retrying, HttpReply, RetryPolicy};
 use crate::problem::PROBLEM_CONTENT_TYPE;
 use crate::serve::{run_serve, ServeConfig};
@@ -387,12 +387,11 @@ pub fn run_loadtest(options: &LoadtestOptions) -> Result<(), String> {
     }
     if let Some(path) = options.bench.as_deref() {
         let contents = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut bench: BenchReport = serde_json::from_str(&contents)
+        let mut bench_report = bench::parse_baseline(&contents)
             .map_err(|e| format!("{path} is not a bench report: {e}"))?;
-        bench.serve = Some(phase);
-        bench.version = BENCH_VERSION;
-        let mut merged =
-            serde_json::to_string_pretty(&bench).expect("bench report serialization is infallible");
+        bench_report.serve = Some(phase);
+        let mut merged = serde_json::to_string_pretty(&bench_report)
+            .expect("bench report serialization is infallible");
         merged.push('\n');
         aarc_spec::atomic_write(path, merged.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
     }

@@ -26,7 +26,6 @@ mod client;
 mod commands;
 mod http;
 mod loadtest;
-mod methods;
 mod problem;
 mod report;
 mod serve;

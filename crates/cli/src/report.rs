@@ -84,7 +84,7 @@ pub struct CompareReport {
     pub functions: usize,
     /// Shared evaluation-service statistics over the whole comparison.
     pub eval: EvalSummary,
-    /// One entry per method, in [`crate::methods::METHOD_NAMES`] order.
+    /// One entry per method, in [`aarc_baselines::methods::NAMES`] order.
     pub methods: Vec<MethodResult>,
 }
 
@@ -187,7 +187,7 @@ impl CompareReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods;
+    use aarc_baselines::methods;
 
     #[test]
     fn csv_fields_with_separators_are_quoted() {

@@ -51,6 +51,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize, Value};
 
+use aarc_baselines::methods;
 use aarc_core::report::ConfigurationReport;
 use aarc_core::{AarcError, RoundPoint, SearchSession, SessionProgress, SessionState};
 use aarc_simulator::{EvalService, EvalTelemetry, ScenarioHandle};
@@ -61,7 +62,6 @@ use aarc_telemetry::{
 use aarc_workloads::Workload;
 
 use crate::http::{read_request, Request, Response};
-use crate::methods;
 use crate::problem::{problem, Kind, Problem};
 use crate::state::{
     CheckpointSummary, PersistedScenario, QuarantinedFile, SessionCheckpoint, StateDir, WalRecord,
@@ -634,7 +634,10 @@ fn write_checkpoint(state: &ServeState<'_>, checkpoint: &SessionCheckpoint) {
         return;
     };
     match persist.write_checkpoint(checkpoint) {
-        Ok(()) => state
+        // A stale checkpoint (superseded by a newer or terminal one) is
+        // skipped, not counted.
+        Ok(false) => {}
+        Ok(true) => state
             .telemetry
             .recorder
             .counter(
@@ -3041,7 +3044,7 @@ mod tests {
         assert_eq!(report.status, 200);
 
         // Bit-identical to the offline path: same strategy driven by
-        // SearchDriver::run on a private engine.
+        // SearchDriver::run on a private service.
         let workload = {
             let anonymous = state.tenants.resolve(None).unwrap();
             let scenarios = state.scenarios.lock().unwrap();
@@ -3050,8 +3053,13 @@ mod tests {
                 .clone()
         };
         let method = methods::build("aarc").unwrap();
-        let engine = aarc_simulator::EvalEngine::with_threads(workload.env().clone(), 2);
-        let outcome = method.search_with(&engine, workload.slo_ms()).unwrap();
+        let offline_service = EvalService::with_threads(2);
+        let outcome = method
+            .search_on(
+                &offline_service.register(workload.env().clone()),
+                workload.slo_ms(),
+            )
+            .unwrap();
         let offline = ConfigurationReport::new(
             workload.env(),
             &outcome.best_configs,
@@ -4112,6 +4120,48 @@ mod tests {
         assert_eq!(second.status, 200, "{}", second.body);
         drain_sessions(&state);
         assert!(state.drained());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shutdown_during_a_drain_leaves_terminal_checkpoints() {
+        let dir = temp_state_dir("shutdown-drain");
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        // A checkpoint every round, so the scheduler's writes and the
+        // shutdown flushes race on every step.
+        let state = persisted_state(&service, &telemetry, &dir, 1);
+        run_recovery(&state);
+        route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
+        for _ in 0..3 {
+            let started = route(
+                &state,
+                &request("POST", "/sessions", b"{\"scenario\": \"chatbot\"}"),
+            );
+            assert_eq!(started.status, 201, "{}", started.body);
+        }
+        std::thread::scope(|scope| {
+            let state = &state;
+            scope.spawn(move || scheduler_loop(state));
+            // Every repeated shutdown flushes the live sessions' checkpoints
+            // while the scheduler keeps stepping and finishing them.
+            while !state.drained() {
+                let reply = route(state, &request("POST", "/shutdown", b""));
+                assert_eq!(reply.status, 200, "{}", reply.body);
+            }
+        });
+        // No late flush of a live session replaced its terminal checkpoint.
+        let sessions = state.sessions.lock().unwrap();
+        assert_eq!(sessions.len(), 3);
+        for (id, slot) in sessions.iter() {
+            let path = dir.join(format!("checkpoints/session-{id:010}.json"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let checkpoint: SessionCheckpoint = serde_json::from_str(&text).unwrap();
+            assert_eq!(checkpoint.phase, "finished", "session {id}");
+            assert_eq!(checkpoint.rounds, slot.progress.rounds, "session {id}");
+            assert!(checkpoint.report_json.is_some(), "session {id}");
+        }
+        drop(sessions);
         std::fs::remove_dir_all(&dir).ok();
     }
 

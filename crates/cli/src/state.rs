@@ -33,10 +33,11 @@
 //! session therefore finishes **bit-identically** to one that was never
 //! interrupted.
 
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -133,6 +134,14 @@ pub struct SessionCheckpoint {
     pub error: Option<String>,
 }
 
+impl SessionCheckpoint {
+    /// Whether the session had reached a terminal phase (`finished`,
+    /// `failed` or `cancelled`) when this checkpoint was taken.
+    pub fn is_terminal(&self) -> bool {
+        matches!(self.phase.as_str(), "finished" | "failed" | "cancelled")
+    }
+}
+
 /// One state file recovery could not use, moved to `quarantine/`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuarantinedFile {
@@ -156,11 +165,18 @@ pub struct RegistryLoad {
     pub quarantined: Vec<QuarantinedFile>,
 }
 
-/// A `--state-dir` opened for the lifetime of one daemon: path layout
-/// plus the append handle of the write-ahead log.
+/// The `(rounds, terminal)` of a session's last checkpoint write. Its lock
+/// is held across the write, so one session's writes are serialized while
+/// different sessions write in parallel.
+type LastCheckpoint = Arc<Mutex<(u64, bool)>>;
+
+/// A `--state-dir` opened for the lifetime of one daemon: path layout,
+/// the append handle of the write-ahead log, and what was last written
+/// for each session's checkpoint.
 pub struct StateDir {
     root: PathBuf,
     wal: Mutex<File>,
+    checkpoints: Mutex<HashMap<u64, LastCheckpoint>>,
 }
 
 impl StateDir {
@@ -183,6 +199,7 @@ impl StateDir {
         Ok(StateDir {
             root,
             wal: Mutex::new(wal),
+            checkpoints: Mutex::new(HashMap::new()),
         })
     }
 
@@ -329,16 +346,37 @@ impl StateDir {
         Ok(())
     }
 
-    /// Writes (or refreshes) one session checkpoint atomically.
+    /// Writes (or refreshes) one session checkpoint atomically, keeping
+    /// the session's durable state monotone: writes of one session are
+    /// serialized, and a checkpoint with fewer `rounds` than the last one
+    /// written, or a non-terminal one after a terminal one, is skipped. A
+    /// writer that assembled its checkpoint earlier but reaches the disk
+    /// later therefore never regresses a newer one. Returns whether the
+    /// checkpoint was written.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error.
-    pub fn write_checkpoint(&self, checkpoint: &SessionCheckpoint) -> std::io::Result<()> {
+    pub fn write_checkpoint(&self, checkpoint: &SessionCheckpoint) -> std::io::Result<bool> {
+        let last = Arc::clone(
+            self.checkpoints
+                .lock()
+                .expect("checkpoint table poisoned")
+                .entry(checkpoint.id)
+                .or_default(),
+        );
+        let mut last = last.lock().expect("session checkpoint lock poisoned");
+        let (last_rounds, last_terminal) = *last;
+        let terminal = checkpoint.is_terminal();
+        if checkpoint.rounds < last_rounds || (last_terminal && !terminal) {
+            return Ok(false);
+        }
         let mut text = serde_json::to_string_pretty(checkpoint)
             .map_err(|e| std::io::Error::other(format!("checkpoint serialization: {e}")))?;
         text.push('\n');
-        atomic_write(self.checkpoint_path(checkpoint.id), text.as_bytes())
+        atomic_write(self.checkpoint_path(checkpoint.id), text.as_bytes())?;
+        *last = (checkpoint.rounds, terminal);
+        Ok(true)
     }
 
     /// Reads every checkpoint file back, in session-id (= file name)
@@ -616,6 +654,43 @@ mod tests {
         updated.rounds = 9;
         state.write_checkpoint(&updated).unwrap();
         assert_eq!(state.load_checkpoints().len(), 2);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn stale_checkpoints_never_replace_newer_ones() {
+        let root = temp_state_dir("monotone");
+        let state = StateDir::open(&root).unwrap();
+        let stored = || {
+            let loaded = state.load_checkpoints();
+            assert_eq!(loaded.len(), 1);
+            loaded[0].1.clone().unwrap()
+        };
+        let mut newer = checkpoint(5);
+        newer.rounds = 9;
+        assert!(state.write_checkpoint(&newer).unwrap());
+        // Fewer rounds than the last write: skipped.
+        let older = checkpoint(5);
+        assert!(!state.write_checkpoint(&older).unwrap());
+        assert_eq!(stored().rounds, 9);
+        // Equal rounds refresh (e.g. a pause between two rounds).
+        let mut paused = newer.clone();
+        paused.phase = "paused".to_owned();
+        assert!(state.write_checkpoint(&paused).unwrap());
+        // A terminal checkpoint wins over everything non-terminal after it,
+        // even with more rounds.
+        let mut finished = newer.clone();
+        finished.rounds = 12;
+        finished.phase = "finished".to_owned();
+        finished.report_json = Some("{}\n".to_owned());
+        assert!(state.write_checkpoint(&finished).unwrap());
+        let mut late_running = newer.clone();
+        late_running.rounds = 12;
+        assert!(!state.write_checkpoint(&late_running).unwrap());
+        assert_eq!(stored(), finished);
+        // Re-writing the terminal checkpoint (the drain's final flush) is
+        // allowed.
+        assert!(state.write_checkpoint(&finished).unwrap());
         std::fs::remove_dir_all(&root).ok();
     }
 

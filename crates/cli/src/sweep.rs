@@ -11,7 +11,7 @@
 //!
 //! The report is deterministic by construction: scenarios are sorted by
 //! name (so the output is independent of argument order), every per-search
-//! result is bit-identical to a sequential run on a private engine (see the
+//! result is bit-identical to a sequential run on a private service (see the
 //! driver's determinism contract), and cache statistics are accounted on
 //! the submitting thread (so the bytes are identical for any `--threads`).
 //! Wall-clock never appears in the report.
@@ -21,11 +21,10 @@ use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
+use aarc_baselines::methods;
 use aarc_core::{SearchDriver, SearchOutcome, SearchSession};
 use aarc_simulator::{EvalService, EvalStats, InputClass, ScenarioEvalStats, WorkflowEnvironment};
 use aarc_workloads::Workload;
-
-use crate::methods;
 
 /// Version stamp of the sweep report schema.
 pub const SWEEP_VERSION: u32 = 1;
@@ -529,7 +528,7 @@ mod tests {
     #[test]
     fn sweep_matches_sequential_private_engines() {
         // The shared-pool interleaved sweep must report exactly what each
-        // method finds on its own private engine.
+        // method finds on its own private service.
         let dir = spec_dir("seq", &[21]);
         let path = dir.join("s21.yaml");
         let report = run_sweep(
@@ -543,7 +542,7 @@ mod tests {
         let spec = aarc_spec::load(&path).unwrap();
         let workload = aarc_spec::compile(&spec).unwrap().into_workload();
         for run in &report.scenarios[0].runs {
-            let method = crate::methods::build(&run.method).unwrap();
+            let method = methods::build(&run.method).unwrap();
             let outcome = method.search(workload.env(), workload.slo_ms()).unwrap();
             assert_eq!(run.final_cost, outcome.best_cost(), "{}", run.method);
             assert_eq!(run.samples, outcome.trace.sample_count(), "{}", run.method);

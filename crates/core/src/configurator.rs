@@ -1,6 +1,6 @@
 //! The Priority Configurator (Algorithm 2).
 
-use aarc_simulator::{ConfigMap, EvalEngine, ResourceConfig, SimResult, WorkflowEnvironment};
+use aarc_simulator::{ConfigMap, ResourceConfig, ScenarioHandle, SimResult, WorkflowEnvironment};
 use aarc_workflow::{NodeId, ResourceAffinity};
 
 use crate::affinity::classify_affinity;
@@ -68,13 +68,13 @@ impl PriorityConfigurator {
     /// `trace`. `baseline` must be a report of the workflow under the
     /// current `configs` (the scheduler always has one at hand), so the
     /// configurator itself only executes candidate configurations. Each
-    /// candidate is submitted through `engine`, so re-visited configurations
+    /// candidate is submitted through `handle`, so re-visited configurations
     /// (e.g. after a revert) are answered from the memo-cache.
     ///
     /// This is the synchronous loop over [`begin_path`]
     /// (PriorityConfigurator::begin_path); the scheduler's ask/tell
-    /// strategy drives the same [`PathConfigState`] without owning an
-    /// engine.
+    /// strategy drives the same [`PathConfigState`] without holding a
+    /// handle.
     ///
     /// # Errors
     ///
@@ -82,7 +82,7 @@ impl PriorityConfigurator {
     #[allow(clippy::too_many_arguments)]
     pub fn configure_path(
         &self,
-        engine: &EvalEngine,
+        handle: &ScenarioHandle<'_>,
         configs: &mut ConfigMap,
         path: &[NodeId],
         path_budget_ms: f64,
@@ -90,10 +90,10 @@ impl PriorityConfigurator {
         baseline: &SimResult,
         trace: &mut SearchTrace,
     ) -> Result<PathConfiguration, AarcError> {
-        let env = engine.env();
+        let env = handle.env();
         let mut state = self.begin_path(env, path, path_budget_ms, end_to_end_slo_ms, baseline);
         while state.propose(env, configs) {
-            let report = engine.evaluate(configs)?;
+            let report = handle.evaluate(configs)?;
             state.observe(env, configs, &report, trace);
         }
         Ok(state.result())
@@ -350,7 +350,7 @@ fn path_cost(result: &SimResult, path: &[NodeId]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aarc_simulator::{FunctionProfile, ProfileSet, ResourceSpace};
+    use aarc_simulator::{EvalService, FunctionProfile, ProfileSet, ResourceSpace};
     use aarc_workflow::WorkflowBuilder;
 
     fn chain_env() -> (WorkflowEnvironment, Vec<NodeId>) {
@@ -393,14 +393,15 @@ mod tests {
         PathConfiguration,
     ) {
         let (env, path) = chain_env();
-        let engine = EvalEngine::single_threaded(env.clone());
+        let service = EvalService::default();
+        let handle = service.register(env.clone());
         let mut configs = env.base_configs();
-        let baseline = engine.evaluate(&configs).unwrap();
+        let baseline = handle.evaluate(&configs).unwrap();
         let mut trace = SearchTrace::new();
         let configurator = PriorityConfigurator::new(params);
         let result = configurator
             .configure_path(
-                &engine,
+                &handle,
                 &mut configs,
                 &path,
                 budget_ms,
@@ -451,15 +452,16 @@ mod tests {
         // A budget barely above the base runtime leaves almost no room to
         // shrink; whatever is accepted must still satisfy it.
         let (env, path) = chain_env();
-        let engine = EvalEngine::single_threaded(env.clone());
+        let service = EvalService::default();
+        let handle = service.register(env.clone());
         let mut configs = env.base_configs();
-        let baseline = engine.evaluate(&configs).unwrap();
+        let baseline = handle.evaluate(&configs).unwrap();
         let budget = baseline.makespan_ms() * 1.01;
         let mut trace = SearchTrace::new();
         let configurator = PriorityConfigurator::new(AarcParams::paper());
         configurator
             .configure_path(
-                &engine,
+                &handle,
                 &mut configs,
                 &path,
                 budget,
@@ -476,14 +478,15 @@ mod tests {
     #[test]
     fn empty_path_or_zero_budget_is_a_no_op() {
         let (env, path) = chain_env();
-        let engine = EvalEngine::single_threaded(env.clone());
+        let service = EvalService::default();
+        let handle = service.register(env.clone());
         let mut configs = env.base_configs();
-        let baseline = engine.evaluate(&configs).unwrap();
+        let baseline = handle.evaluate(&configs).unwrap();
         let mut trace = SearchTrace::new();
         let configurator = PriorityConfigurator::new(AarcParams::paper());
         let r1 = configurator
             .configure_path(
-                &engine,
+                &handle,
                 &mut configs,
                 &[],
                 60_000.0,
@@ -494,7 +497,7 @@ mod tests {
             .unwrap();
         let r2 = configurator
             .configure_path(
-                &engine,
+                &handle,
                 &mut configs,
                 &path,
                 0.0,
@@ -540,13 +543,14 @@ mod tests {
         let budget = 60_000.0;
         let configurator = PriorityConfigurator::new(AarcParams::paper());
 
-        let engine_sync = EvalEngine::single_threaded(env.clone());
+        let service_sync = EvalService::default();
+        let handle_sync = service_sync.register(env.clone());
         let mut configs_sync = env.base_configs();
-        let baseline = engine_sync.evaluate(&configs_sync).unwrap();
+        let baseline = handle_sync.evaluate(&configs_sync).unwrap();
         let mut trace_sync = SearchTrace::new();
         let result_sync = configurator
             .configure_path(
-                &engine_sync,
+                &handle_sync,
                 &mut configs_sync,
                 &path,
                 budget,
@@ -556,15 +560,16 @@ mod tests {
             )
             .unwrap();
 
-        let engine_state = EvalEngine::single_threaded(env.clone());
+        let service_state = EvalService::default();
+        let handle_state = service_state.register(env.clone());
         let mut configs_state = env.base_configs();
-        let baseline_state = engine_state.evaluate(&configs_state).unwrap();
+        let baseline_state = handle_state.evaluate(&configs_state).unwrap();
         let mut trace_state = SearchTrace::new();
         let mut state = configurator.begin_path(&env, &path, budget, budget, &baseline_state);
         assert!(!state.is_pending());
         while state.propose(&env, &mut configs_state) {
             assert!(state.is_pending());
-            let report = engine_state.evaluate(&configs_state).unwrap();
+            let report = handle_state.evaluate(&configs_state).unwrap();
             state.observe(&env, &mut configs_state, &report, &mut trace_state);
         }
         assert_eq!(configs_sync, configs_state);

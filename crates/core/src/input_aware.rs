@@ -60,7 +60,7 @@ impl InputAwareEngine {
     /// every class's environment is registered as a handle on `service`,
     /// and the per-class scheduler runs interleave their evaluations on the
     /// service's worker pool and memo-cache. Results are bit-identical to
-    /// sequential per-class searches on private engines — per-class inputs
+    /// sequential per-class searches on private services — per-class inputs
     /// bucket the cache keys, so entries never leak between classes.
     ///
     /// # Errors

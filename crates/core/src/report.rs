@@ -151,7 +151,8 @@ mod tests {
     fn report_contains_all_functions_and_totals() {
         let env = env();
         let configs = ConfigMap::uniform(2, ResourceConfig::new(1.0, 512));
-        let execution = aarc_simulator::EvalEngine::single_threaded(env.clone())
+        let execution = aarc_simulator::EvalService::default()
+            .register(env.clone())
             .evaluate(&configs)
             .unwrap();
         let report = ConfigurationReport::new(&env, &configs, &execution, Some(10_000.0));
@@ -168,7 +169,8 @@ mod tests {
     fn violated_slo_is_flagged() {
         let env = env();
         let configs = ConfigMap::uniform(2, ResourceConfig::new(1.0, 512));
-        let execution = aarc_simulator::EvalEngine::single_threaded(env.clone())
+        let execution = aarc_simulator::EvalService::default()
+            .register(env.clone())
             .evaluate(&configs)
             .unwrap();
         let report = ConfigurationReport::new(&env, &configs, &execution, Some(1.0));
@@ -180,7 +182,8 @@ mod tests {
     fn report_without_slo_has_no_verdict() {
         let env = env();
         let configs = ConfigMap::uniform(2, ResourceConfig::new(1.0, 512));
-        let execution = aarc_simulator::EvalEngine::single_threaded(env.clone())
+        let execution = aarc_simulator::EvalService::default()
+            .register(env.clone())
             .evaluate(&configs)
             .unwrap();
         let report = ConfigurationReport::new(&env, &configs, &execution, None);

@@ -5,7 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use aarc_simulator::{
-    ConfigMap, EvalEngine, ExecutionReport, ScenarioHandle, SimResult, WorkflowEnvironment,
+    ConfigMap, EvalService, ExecutionReport, ScenarioHandle, SimResult, WorkflowEnvironment,
 };
 
 use crate::driver::{SearchDriver, SearchStrategy};
@@ -66,19 +66,9 @@ impl SearchTrace {
         self.samples.push(sample);
     }
 
-    /// Appends every sample of `other` to this trace (re-indexed), cloning
-    /// each sample. Prefer [`append`](SearchTrace::append) when `other` is
-    /// no longer needed.
-    pub fn merge(&mut self, other: &SearchTrace) {
-        for sample in other.samples() {
-            self.push(sample.clone());
-        }
-    }
-
     /// Consumes `other`, moving its samples onto the end of this trace and
-    /// re-indexing them in place — the allocation-free form of
-    /// [`merge`](SearchTrace::merge), used by the input-aware engine to
-    /// fold the per-class scheduler runs into one engine-level trace.
+    /// re-indexing them in place — used by the input-aware engine to fold
+    /// the per-class scheduler runs into one engine-level trace.
     pub fn append(&mut self, other: SearchTrace) {
         let offset = self.samples.len();
         self.samples.extend(other.samples);
@@ -162,16 +152,20 @@ impl SearchOutcome {
     }
 
     /// Materialises the full [`ExecutionReport`] (names + event trace) of
-    /// the winning configuration, re-running it under the exact `(input,
-    /// seed)` the search observed so the report is bit-identical to
+    /// the winning configuration on `handle` (the scenario the search ran
+    /// on), re-running it under the exact `(input, seed)` the search
+    /// observed so the report is bit-identical to
     /// [`final_report`](SearchOutcome::final_report).
     ///
     /// # Errors
     ///
     /// Propagates simulator errors (none are expected for a configuration
     /// the search already executed).
-    pub fn materialize_report(&self, engine: &EvalEngine) -> Result<ExecutionReport, AarcError> {
-        Ok(engine.materialize_result(&self.best_configs, &self.final_report)?)
+    pub fn materialize_report(
+        &self,
+        handle: &ScenarioHandle<'_>,
+    ) -> Result<ExecutionReport, AarcError> {
+        Ok(handle.materialize_result(&self.best_configs, &self.final_report)?)
     }
 }
 
@@ -225,25 +219,16 @@ pub trait ConfigurationSearch {
         SearchDriver::run(self.strategy(handle.env(), slo_ms)?, handle)
     }
 
-    /// Runs the search through an [`EvalEngine`] — the single-scenario
-    /// compatibility facade over the service layer.
-    ///
-    /// # Errors
-    ///
-    /// See [`ConfigurationSearch::search_on`].
-    fn search_with(&self, engine: &EvalEngine, slo_ms: f64) -> Result<SearchOutcome, AarcError> {
-        self.search_on(&engine.handle(), slo_ms)
-    }
-
-    /// Runs the search on a private single-threaded engine over a copy of
-    /// `env` — the convenience entry point for callers that do not share an
-    /// evaluation service across methods.
+    /// Runs the search on a private single-threaded [`EvalService`] over a
+    /// copy of `env` — the convenience entry point for callers that do not
+    /// share an evaluation service across methods.
     ///
     /// # Errors
     ///
     /// See [`ConfigurationSearch::search_on`].
     fn search(&self, env: &WorkflowEnvironment, slo_ms: f64) -> Result<SearchOutcome, AarcError> {
-        self.search_with(&EvalEngine::single_threaded(env.clone()), slo_ms)
+        let service = EvalService::with_threads(1);
+        self.search_on(&service.register(env.clone()), slo_ms)
     }
 }
 
@@ -278,13 +263,13 @@ mod tests {
 
     #[test]
     fn trace_accumulates_totals_and_series() {
-        let env = tiny_env();
-        let engine = EvalEngine::single_threaded(env);
+        let service = EvalService::with_threads(1);
+        let handle = service.register(tiny_env());
         let mut trace = SearchTrace::new();
-        let big = engine
+        let big = handle
             .evaluate(&ConfigMap::uniform(1, ResourceConfig::new(2.0, 1024)))
             .unwrap();
-        let small = engine
+        let small = handle
             .evaluate(&ConfigMap::uniform(1, ResourceConfig::new(1.0, 512)))
             .unwrap();
         trace.record(&big, true, "base");
@@ -349,15 +334,15 @@ mod tests {
         let mut b = SearchTrace::new();
         b.push(sample("b1"));
         b.push(sample("b2"));
-        let mut merged_ref = a.clone();
-        merged_ref.merge(&b);
         a.append(b);
-        assert_eq!(a, merged_ref, "append must behave exactly like merge");
+        assert_eq!(
+            a.samples().iter().map(|s| &s.label[..]).collect::<Vec<_>>(),
+            vec!["a1", "b1", "b2"]
+        );
         assert_eq!(
             a.samples().iter().map(|s| s.index).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
-        assert_eq!(a.samples()[2].label, "b2");
     }
 
     #[test]

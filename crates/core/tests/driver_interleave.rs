@@ -1,14 +1,14 @@
 //! Pins the invariant the serve daemon's session scheduler (and `aarc
 //! sweep`) relies on: round-robin interleaving of independent searches on
 //! one shared [`EvalService`] is bit-identical to running each search
-//! alone on a private engine — even when strategies issue unequal batch
+//! alone on a private service — even when strategies issue unequal batch
 //! sizes and finish at different rounds, and even though a finished
 //! session keeps being skipped while the others continue.
 
 use aarc_core::{AarcError, SearchTrace};
 use aarc_core::{Ask, SearchDriver, SearchOutcome, SearchSession, SearchStrategy, SessionState};
 use aarc_simulator::{
-    ConfigMap, EvalEngine, EvalService, FunctionProfile, ProfileSet, ResourceConfig, SimResult,
+    ConfigMap, EvalService, FunctionProfile, ProfileSet, ResourceConfig, SimResult,
     WorkflowEnvironment,
 };
 use aarc_workflow::WorkflowBuilder;
@@ -154,13 +154,17 @@ fn assert_outcomes_equal(got: &SearchOutcome, want: &SearchOutcome, context: &st
     assert_eq!(got.trace, want.trace, "{context}: trace");
 }
 
-/// Solo reference runs, each on its own private single-threaded engine.
+/// Solo reference runs, each on its own private single-threaded service.
 fn solo_outcomes() -> Vec<SearchOutcome> {
     PLANS
         .iter()
         .map(|(name, salt, plan)| {
-            let engine = EvalEngine::single_threaded(env());
-            SearchDriver::run(PlannedBatches::boxed(name, *salt, plan), &engine.handle()).unwrap()
+            let service = EvalService::with_threads(1);
+            SearchDriver::run(
+                PlannedBatches::boxed(name, *salt, plan),
+                &service.register(env()),
+            )
+            .unwrap()
         })
         .collect()
 }
@@ -238,7 +242,7 @@ fn stepped_sessions_report_progress_and_match_the_driver_loop() {
     // And the whole stepped run equals the driver's one-shot loop.
     let reference = SearchDriver::run(
         PlannedBatches::boxed(name, salt, plan),
-        &EvalEngine::single_threaded(env()).handle(),
+        &EvalService::with_threads(1).register(env()),
     )
     .unwrap();
     assert_outcomes_equal(&outcome, &reference, "stepped vs driver loop");

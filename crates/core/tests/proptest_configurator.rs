@@ -4,7 +4,7 @@
 use aarc_core::configurator::PriorityConfigurator;
 use aarc_core::search::SearchTrace;
 use aarc_core::AarcParams;
-use aarc_simulator::{EvalEngine, FunctionProfile, ProfileSet, WorkflowEnvironment};
+use aarc_simulator::{EvalService, FunctionProfile, ProfileSet, WorkflowEnvironment};
 use aarc_workflow::{NodeId, WorkflowBuilder};
 use proptest::prelude::*;
 
@@ -56,9 +56,10 @@ proptest! {
         max_trials in 5usize..60,
     ) {
         let (env, path) = chain_env(serial_a, parallel_a, ws_b);
-        let engine = EvalEngine::single_threaded(env.clone());
+        let service = EvalService::with_threads(1);
+        let handle = service.register(env.clone());
         let mut configs = env.base_configs();
-        let baseline = engine.evaluate(&configs).unwrap();
+        let baseline = handle.evaluate(&configs).unwrap();
         let budget = baseline.makespan_ms() * headroom;
         let params = AarcParams {
             max_trials_per_path: max_trials,
@@ -67,7 +68,7 @@ proptest! {
         let configurator = PriorityConfigurator::new(params);
         let mut trace = SearchTrace::new();
         let result = configurator
-            .configure_path(&engine, &mut configs, &path, budget, budget, &baseline, &mut trace)
+            .configure_path(&handle, &mut configs, &path, budget, budget, &baseline, &mut trace)
             .unwrap();
 
         prop_assert!(result.samples_used <= max_trials);

@@ -9,8 +9,9 @@ use aarc_workflow::{NodeId, Workflow};
 use crate::cluster::ClusterSpec;
 use crate::cost::PricingModel;
 use crate::error::SimulatorError;
-use crate::executor::{execute_workflow, ExecutionReport};
+use crate::executor::ExecutionReport;
 use crate::input::InputSpec;
+use crate::kernel::{CompiledScenario, SimScratch};
 use crate::perf_model::ProfileSet;
 use crate::resources::{ResourceConfig, ResourceSpace};
 
@@ -171,7 +172,7 @@ impl WorkflowEnvironment {
     /// A stable 64-bit fingerprint of the whole scenario (workflow
     /// structure, profiles, pricing, cluster, space, default input and
     /// seed), used as the scenario component of the
-    /// [`EvalEngine`](crate::eval::EvalEngine) cache key. FNV-1a over a
+    /// [`EvalService`](crate::eval::EvalService) cache key. FNV-1a over a
     /// canonical rendering — per-function profiles are walked in node order,
     /// not map order, so two identical environments always agree. Any change
     /// to any field changes the fingerprint, so memoised reports can never
@@ -200,7 +201,7 @@ impl WorkflowEnvironment {
     ///
     /// # Errors
     ///
-    /// See [`execute_workflow`].
+    /// See [`CompiledScenario::simulate_report`].
     pub fn execute(&self, configs: &ConfigMap) -> Result<ExecutionReport, SimulatorError> {
         self.execute_with(configs, self.input, self.seed)
     }
@@ -209,7 +210,7 @@ impl WorkflowEnvironment {
     ///
     /// # Errors
     ///
-    /// See [`execute_workflow`].
+    /// See [`CompiledScenario::simulate_report`].
     pub fn execute_with_input(
         &self,
         configs: &ConfigMap,
@@ -219,26 +220,22 @@ impl WorkflowEnvironment {
     }
 
     /// Executes the workflow once with full control over input and RNG seed
-    /// (the seed only matters when the cluster models runtime jitter).
+    /// (the seed only matters when the cluster models runtime jitter): a
+    /// one-off compile plus [`CompiledScenario::simulate_report`]. Repeated
+    /// evaluations should go through an
+    /// [`EvalService`](crate::eval::EvalService) handle, which compiles once.
     ///
     /// # Errors
     ///
-    /// See [`execute_workflow`].
+    /// See [`CompiledScenario::simulate_report`].
     pub fn execute_with(
         &self,
         configs: &ConfigMap,
         input: InputSpec,
         seed: u64,
     ) -> Result<ExecutionReport, SimulatorError> {
-        execute_workflow(
-            &self.workflow,
-            &self.profiles,
-            configs,
-            input,
-            &self.cluster,
-            &self.pricing,
-            seed,
-        )
+        CompiledScenario::compile(&self.workflow, &self.profiles, self.cluster, self.pricing)?
+            .simulate_report(&mut SimScratch::new(), configs, input, seed)
     }
 
     /// Returns a copy of the environment with a different default input

@@ -1,8 +1,10 @@
 //! The candidate-evaluation layer between the configuration searchers and
-//! the discrete-event executor: a process-wide [`EvalService`] that owns the
-//! shared evaluation substrate, cheap per-scenario [`ScenarioHandle`]s that
-//! submit candidates through it, and [`EvalEngine`] as a thin single-handle
-//! compatibility facade.
+//! the simulation kernel: a process-wide [`EvalService`] that owns the
+//! shared evaluation substrate, and cheap per-scenario [`ScenarioHandle`]s
+//! that submit candidates through it. Registering a scenario
+//! ([`EvalService::register`]) and evaluating through the returned handle
+//! is the one way to evaluate a candidate; a caller with a single scenario
+//! simply builds a service of its own.
 //!
 //! Every search method (AARC's Graph-Centric Scheduler, Bayesian
 //! optimization, MAFF, random search) spends nearly all of its wall-clock
@@ -26,8 +28,8 @@
 //!   (see [`EvalService::scenario_stats`]) as well as in aggregate;
 //! * a pool of reusable [`SimScratch`] arenas borrowed by worker threads.
 //!
-//! A [`ScenarioHandle`] is just a compiled scenario plus [`EvalOptions`]:
-//! creating one compiles the environment once, and any number of handles
+//! A [`ScenarioHandle`] is just a compiled scenario on a service: creating
+//! one compiles the environment once, and any number of handles
 //! (for the same or different scenarios) can submit through one service
 //! concurrently with the searches interleaving on the shared pool. The
 //! scenario population is a *runtime* concern: scenarios are
@@ -46,8 +48,8 @@
 //! Both the cache and the searchers traffic in the lean [`SimResult`] —
 //! cache hits clone an `Arc`, not a report full of `String`s. The full
 //! [`ExecutionReport`](crate::executor::ExecutionReport) is only
-//! materialised on demand via [`ScenarioHandle::materialize`] /
-//! [`EvalEngine::materialize`].
+//! materialised on demand via [`ScenarioHandle::materialize`], which runs
+//! [`CompiledScenario::simulate_report`] — the one materialisation path.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -83,7 +85,7 @@ pub fn fnv1a_64(bytes: impl IntoIterator<Item = u8>) -> u64 {
 }
 
 /// Derives the RNG seed of the candidate at `index` within a batch from the
-/// engine's base seed (SplitMix64 finalizer over `base ^ index`).
+/// scenario's base seed (SplitMix64 finalizer over `base ^ index`).
 ///
 /// Seeds depend only on the *position* of a candidate, never on the worker
 /// thread that evaluates it or on any shared RNG stream, which is what
@@ -97,7 +99,7 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Tuning knobs of an [`EvalService`] (and of the [`EvalEngine`] facade).
+/// Tuning knobs of an [`EvalService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Worker threads used for batch evaluation (1 = fully sequential).
@@ -244,14 +246,13 @@ struct ScenarioCounters {
 }
 
 /// The immutable per-scenario half of an evaluation: the compiled scenario,
-/// its environment and options, and its statistics slice. Shared by
-/// [`ScenarioHandle`]s and the [`EvalEngine`] facade via `Arc`.
+/// its environment and its statistics slice. Shared by clones of a
+/// [`ScenarioHandle`] via `Arc`.
 #[derive(Debug)]
 struct ScenarioData {
     env: WorkflowEnvironment,
     scenario: CompiledScenario,
     fingerprint: u64,
-    options: EvalOptions,
     counters: Arc<ScenarioCounters>,
     /// The most recent exact probe `(configs, result)` of this
     /// registration, used as the incremental anchor for the next probe.
@@ -462,27 +463,6 @@ impl EvalService {
     /// pool and cache. Handles of environments with identical fingerprints
     /// share one statistics slice.
     pub fn register(&self, env: WorkflowEnvironment) -> ScenarioHandle<'_> {
-        self.register_with(env, self.options)
-    }
-
-    /// [`register`](EvalService::register) with per-handle options: the
-    /// handle's `threads` caps the fan-out of its batches (within the
-    /// shared pool) and `cache_capacity == 0` opts this handle out of
-    /// memoisation. The shared cache's capacity itself stays service-wide.
-    pub fn register_with(
-        &self,
-        env: WorkflowEnvironment,
-        options: EvalOptions,
-    ) -> ScenarioHandle<'_> {
-        ScenarioHandle {
-            service: self,
-            data: self.scenario_data(env, options),
-        }
-    }
-
-    /// Compiles `env` into the shared per-scenario data block used by both
-    /// handles and the [`EvalEngine`] facade.
-    fn scenario_data(&self, env: WorkflowEnvironment, options: EvalOptions) -> Arc<ScenarioData> {
         let fingerprint = env.fingerprint();
         let scenario = CompiledScenario::compile(
             env.workflow(),
@@ -498,17 +478,16 @@ impl EvalService {
                 .entry(fingerprint)
                 .or_default(),
         );
-        Arc::new(ScenarioData {
-            env,
-            scenario,
-            fingerprint,
-            options: EvalOptions {
-                threads: options.threads.max(1),
-                cache_capacity: options.cache_capacity,
-            },
-            counters,
-            probe_anchor: Mutex::new(None),
-        })
+        ScenarioHandle {
+            service: self,
+            data: Arc::new(ScenarioData {
+                env,
+                scenario,
+                fingerprint,
+                counters,
+                probe_anchor: Mutex::new(None),
+            }),
+        }
     }
 
     /// Unregisters a scenario from the service by fingerprint: drops its
@@ -650,16 +629,6 @@ impl EvalService {
             .sum()
     }
 
-    /// Drops every memoised report of every scenario (statistics are kept).
-    /// Used by the bench harness to time cold batches.
-    pub fn clear_cache(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("cache shard poisoned");
-            s.map.clear();
-            s.order.clear();
-        }
-    }
-
     /// Evaluates one candidate of `data`'s scenario, consulting the shared
     /// memo-cache first.
     fn evaluate_data(
@@ -686,7 +655,7 @@ impl EvalService {
         seed: u64,
     ) -> Result<SimResult, SimulatorError> {
         let key = Self::key(data, configs, input, seed);
-        if let Some(result) = self.cache_get(data, &key) {
+        if let Some(result) = self.cache_get(&key) {
             data.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(result);
         }
@@ -754,7 +723,7 @@ impl EvalService {
         for (i, configs) in candidates.iter().enumerate() {
             let seed = derive_seed(data.env.seed(), i as u64);
             let key = Self::key(data, configs, input, seed);
-            if let Some(report) = self.cache_get(data, &key) {
+            if let Some(report) = self.cache_get(&key) {
                 data.counters.hits.fetch_add(1, Ordering::Relaxed);
                 batch_hits += 1;
                 results[i] = Some(report);
@@ -949,12 +918,7 @@ impl EvalService {
         }
         let chunk = Self::batch_chunk_size(pending.len());
         let chunk_count = pending.len().div_ceil(chunk);
-        let threads = data
-            .options
-            .threads
-            .min(self.options.threads)
-            .min(chunk_count)
-            .max(1);
+        let threads = self.options.threads.min(chunk_count).max(1);
         if threads <= 1 {
             let mut scratch = self.take_scratch();
             let mut batch = BatchSim::new(&data.scenario, input);
@@ -1040,14 +1004,8 @@ impl EvalService {
         &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
     }
 
-    /// Whether memoisation is active for this handle: both the service's
-    /// shared capacity and the handle's own options must allow it.
-    fn cache_enabled(&self, data: &ScenarioData) -> bool {
-        self.options.cache_capacity > 0 && data.options.cache_capacity > 0
-    }
-
-    fn cache_get(&self, data: &ScenarioData, key: &CacheKey) -> Option<SimResult> {
-        if !self.cache_enabled(data) {
+    fn cache_get(&self, key: &CacheKey) -> Option<SimResult> {
+        if self.options.cache_capacity == 0 {
             return None;
         }
         self.shard_of(key)
@@ -1061,7 +1019,7 @@ impl EvalService {
     /// Memoises `result` under `key`; returns how many entries were
     /// evicted to make room (feeds the flight recorder's batch events).
     fn cache_insert(&self, data: &ScenarioData, key: CacheKey, result: SimResult) -> usize {
-        if !self.cache_enabled(data) {
+        if self.options.cache_capacity == 0 {
             return 0;
         }
         let per_shard = (self.options.cache_capacity / SHARD_COUNT).max(1);
@@ -1104,8 +1062,8 @@ impl Default for EvalService {
 }
 
 /// A cheap per-scenario view onto a shared [`EvalService`]: the compiled
-/// scenario plus [`EvalOptions`]. Cloning a handle clones an `Arc`, not the
-/// compiled scenario.
+/// scenario and its statistics slice. Cloning a handle clones an `Arc`, not
+/// the compiled scenario.
 ///
 /// Searchers submit candidates through [`evaluate`](ScenarioHandle::evaluate)
 /// / [`evaluate_batch`](ScenarioHandle::evaluate_batch); the service
@@ -1131,16 +1089,6 @@ impl<'s> ScenarioHandle<'s> {
     /// The compiled scenario every evaluation runs against.
     pub fn scenario(&self) -> &CompiledScenario {
         &self.data.scenario
-    }
-
-    /// The handle's options.
-    pub fn options(&self) -> EvalOptions {
-        self.data.options
-    }
-
-    /// Worker threads this handle's batches fan out over.
-    pub fn threads(&self) -> usize {
-        self.data.options.threads.min(self.service.options.threads)
     }
 
     /// The scenario fingerprint baked into every cache key.
@@ -1241,12 +1189,12 @@ impl<'s> ScenarioHandle<'s> {
     }
 
     /// This scenario's slice of the service's cumulative statistics
-    /// (`threads` reports the handle's effective fan-out).
+    /// (`threads` reports the service's pool width).
     pub fn stats(&self) -> EvalStats {
         let hits = self.data.counters.hits.load(Ordering::Relaxed);
         let misses = self.data.counters.misses.load(Ordering::Relaxed);
         EvalStats {
-            threads: self.threads(),
+            threads: self.service.options.threads,
             requests: hits + misses,
             cache_hits: hits,
             cache_misses: misses,
@@ -1282,196 +1230,6 @@ impl<'s> ScenarioHandle<'s> {
     /// split.
     pub fn kernel_counters(&self) -> KernelCounters {
         self.service.kernel_counters()
-    }
-}
-
-/// The single-scenario candidate-evaluation engine: a thin compatibility
-/// facade over a private [`EvalService`] with exactly one registered
-/// scenario.
-///
-/// Pre-service code (CLI `run`, tests, examples) keeps working unchanged;
-/// anything that evaluates more than one scenario — `aarc sweep`, the
-/// input-aware engine, the bench harness — should share one
-/// [`EvalService`] and hold [`ScenarioHandle`]s instead. Use
-/// [`EvalEngine::handle`] to lend this engine's scenario to handle-based
-/// APIs.
-#[derive(Debug)]
-pub struct EvalEngine {
-    service: EvalService,
-    data: Arc<ScenarioData>,
-}
-
-impl EvalEngine {
-    /// Creates an engine over `env` with the given options.
-    pub fn new(env: WorkflowEnvironment, options: EvalOptions) -> Self {
-        let service = EvalService::new(options);
-        let data = service.scenario_data(env, service.options);
-        EvalEngine { service, data }
-    }
-
-    /// A sequential engine with the default cache (the drop-in replacement
-    /// for calling the executor directly).
-    pub fn single_threaded(env: WorkflowEnvironment) -> Self {
-        EvalEngine::new(env, EvalOptions::default())
-    }
-
-    /// An engine with `threads` workers and the default cache.
-    pub fn with_threads(env: WorkflowEnvironment, threads: usize) -> Self {
-        EvalEngine::new(
-            env,
-            EvalOptions {
-                threads,
-                ..EvalOptions::default()
-            },
-        )
-    }
-
-    /// The engine's scenario as a [`ScenarioHandle`] on its private
-    /// service — the bridge from facade-based call sites into handle-based
-    /// APIs (ask/tell drivers, the sweep runner).
-    pub fn handle(&self) -> ScenarioHandle<'_> {
-        ScenarioHandle {
-            service: &self.service,
-            data: Arc::clone(&self.data),
-        }
-    }
-
-    /// The underlying single-scenario service.
-    pub fn service(&self) -> &EvalService {
-        &self.service
-    }
-
-    /// The wrapped environment (workflow, profiles, space, pricing, ...).
-    pub fn env(&self) -> &WorkflowEnvironment {
-        &self.data.env
-    }
-
-    /// The compiled scenario every evaluation runs against.
-    pub fn scenario(&self) -> &CompiledScenario {
-        &self.data.scenario
-    }
-
-    /// The engine's options.
-    pub fn options(&self) -> EvalOptions {
-        self.data.options
-    }
-
-    /// Worker threads used for batch evaluation.
-    pub fn threads(&self) -> usize {
-        self.data.options.threads
-    }
-
-    /// The scenario fingerprint baked into every cache key.
-    pub fn fingerprint(&self) -> u64 {
-        self.data.fingerprint
-    }
-
-    /// Evaluates one candidate with the environment's default input and
-    /// seed, consulting the memo-cache first.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledScenario::simulate`].
-    pub fn evaluate(&self, configs: &ConfigMap) -> Result<SimResult, SimulatorError> {
-        self.evaluate_with(configs, self.data.env.input(), self.data.env.seed())
-    }
-
-    /// Evaluates one candidate with full control over input and seed,
-    /// consulting the memo-cache first.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledScenario::simulate`].
-    pub fn evaluate_with(
-        &self,
-        configs: &ConfigMap,
-        input: InputSpec,
-        seed: u64,
-    ) -> Result<SimResult, SimulatorError> {
-        self.service.evaluate_data(&self.data, configs, input, seed)
-    }
-
-    /// Materialises the full [`ExecutionReport`] of one candidate (see
-    /// [`ScenarioHandle::materialize`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledScenario::simulate_report`].
-    pub fn materialize(
-        &self,
-        configs: &ConfigMap,
-        input: InputSpec,
-        seed: u64,
-    ) -> Result<ExecutionReport, SimulatorError> {
-        self.service
-            .materialize_data(&self.data, configs, input, seed)
-    }
-
-    /// [`materialize`](EvalEngine::materialize) for the exact `(input,
-    /// seed)` a [`SimResult`] was produced under (see
-    /// [`ScenarioHandle::materialize_result`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledScenario::simulate_report`].
-    pub fn materialize_result(
-        &self,
-        configs: &ConfigMap,
-        result: &SimResult,
-    ) -> Result<ExecutionReport, SimulatorError> {
-        self.materialize(configs, result.input(), result.seed())
-    }
-
-    /// Evaluates a batch of candidates with the environment's default input
-    /// (see [`ScenarioHandle::evaluate_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error in candidate order.
-    pub fn evaluate_batch(
-        &self,
-        candidates: &[ConfigMap],
-    ) -> Result<Vec<SimResult>, SimulatorError> {
-        self.evaluate_batch_with(candidates, self.data.env.input())
-    }
-
-    /// [`evaluate_batch`](EvalEngine::evaluate_batch) with an explicit
-    /// input.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error in candidate order.
-    pub fn evaluate_batch_with(
-        &self,
-        candidates: &[ConfigMap],
-        input: InputSpec,
-    ) -> Result<Vec<SimResult>, SimulatorError> {
-        self.service
-            .evaluate_batch_data(&self.data, candidates, input)
-    }
-
-    /// The engine's cumulative statistics.
-    pub fn stats(&self) -> EvalStats {
-        let hits = self.data.counters.hits.load(Ordering::Relaxed);
-        let misses = self.data.counters.misses.load(Ordering::Relaxed);
-        EvalStats {
-            threads: self.data.options.threads,
-            requests: hits + misses,
-            cache_hits: hits,
-            cache_misses: misses,
-            evictions: self.data.counters.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of reports currently memoised across all shards.
-    pub fn cached_entries(&self) -> usize {
-        self.service.cached_entries()
-    }
-
-    /// Drops every memoised report (statistics are kept). Used by the bench
-    /// harness to time cold batches.
-    pub fn clear_cache(&self) {
-        self.service.clear_cache();
     }
 }
 
@@ -1533,35 +1291,37 @@ mod tests {
     #[test]
     fn single_evaluation_matches_direct_execution() {
         let e = env();
-        let engine = EvalEngine::single_threaded(e.clone());
+        let service = EvalService::default();
+        let handle = service.register(e.clone());
         let cfg = e.base_configs();
         let direct = e.execute(&cfg).unwrap();
-        let via_engine = engine.evaluate(&cfg).unwrap();
-        assert_eq!(direct.makespan_ms(), via_engine.makespan_ms());
-        assert_eq!(direct.total_cost(), via_engine.total_cost());
-        assert_eq!(direct.any_oom(), via_engine.any_oom());
+        let via_handle = handle.evaluate(&cfg).unwrap();
+        assert_eq!(direct.makespan_ms(), via_handle.makespan_ms());
+        assert_eq!(direct.total_cost(), via_handle.total_cost());
+        assert_eq!(direct.any_oom(), via_handle.any_oom());
         for exec in direct.executions() {
             assert_eq!(
-                via_engine.runtime_of(exec.node),
+                via_handle.runtime_of(exec.node),
                 Some(exec.runtime_ms),
                 "{}",
                 exec.node
             );
-            assert_eq!(via_engine.cost_of(exec.node), Some(exec.cost));
+            assert_eq!(via_handle.cost_of(exec.node), Some(exec.cost));
         }
         // Materialising the winner recovers the identical full report.
-        let materialised = engine.materialize_result(&cfg, &via_engine).unwrap();
+        let materialised = handle.materialize_result(&cfg, &via_handle).unwrap();
         assert_eq!(direct, materialised);
     }
 
     #[test]
     fn repeated_evaluations_hit_the_cache() {
-        let engine = EvalEngine::single_threaded(env());
-        let cfg = engine.env().base_configs();
-        let first = engine.evaluate(&cfg).unwrap();
-        let second = engine.evaluate(&cfg).unwrap();
+        let service = EvalService::default();
+        let handle = service.register(env());
+        let cfg = handle.env().base_configs();
+        let first = handle.evaluate(&cfg).unwrap();
+        let second = handle.evaluate(&cfg).unwrap();
         assert_eq!(first, second);
-        let stats = engine.stats();
+        let stats = handle.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
@@ -1571,18 +1331,18 @@ mod tests {
 
     #[test]
     fn seed_is_normalised_out_of_the_key_without_jitter() {
-        let engine = EvalEngine::single_threaded(env());
-        let cfg = engine.env().base_configs();
-        engine.evaluate_with(&cfg, InputSpec::nominal(), 1).unwrap();
-        engine.evaluate_with(&cfg, InputSpec::nominal(), 2).unwrap();
+        let service = EvalService::default();
+        let plain = service.register(env());
+        let cfg = plain.env().base_configs();
+        plain.evaluate_with(&cfg, InputSpec::nominal(), 1).unwrap();
+        plain.evaluate_with(&cfg, InputSpec::nominal(), 2).unwrap();
         assert_eq!(
-            engine.stats().cache_hits,
+            plain.stats().cache_hits,
             1,
             "seed-independent reports must share entries"
         );
 
-        let jittered = EvalEngine::single_threaded(jittery_env());
-        let cfg = jittered.env().base_configs();
+        let jittered = service.register(jittery_env());
         let a = jittered
             .evaluate_with(&cfg, InputSpec::nominal(), 1)
             .unwrap();
@@ -1599,23 +1359,24 @@ mod tests {
 
     #[test]
     fn different_inputs_use_different_buckets() {
-        let engine = EvalEngine::single_threaded(env());
-        let cfg = engine.env().base_configs();
-        let heavy = engine
+        let service = EvalService::default();
+        let handle = service.register(env());
+        let cfg = handle.env().base_configs();
+        let heavy = handle
             .evaluate_with(&cfg, InputSpec::new(2.0, 64.0), 0)
             .unwrap();
-        let light = engine
+        let light = handle
             .evaluate_with(&cfg, InputSpec::new(0.5, 2.0), 0)
             .unwrap();
-        assert_eq!(engine.stats().cache_hits, 0);
+        assert_eq!(handle.stats().cache_hits, 0);
         assert!(heavy.makespan_ms() > light.makespan_ms());
     }
 
     #[test]
     fn batch_results_are_identical_across_thread_counts() {
         let cfgs = candidates(40);
-        let sequential = EvalEngine::with_threads(env(), 1);
-        let parallel = EvalEngine::with_threads(env(), 8);
+        let (one, eight) = (EvalService::with_threads(1), EvalService::with_threads(8));
+        let (sequential, parallel) = (one.register(env()), eight.register(env()));
         let a = sequential.evaluate_batch(&cfgs).unwrap();
         let b = parallel.evaluate_batch(&cfgs).unwrap();
         assert_eq!(a, b);
@@ -1629,10 +1390,9 @@ mod tests {
     #[test]
     fn jittered_batches_are_identical_across_thread_counts() {
         let cfgs = candidates(24);
-        let sequential = EvalEngine::with_threads(jittery_env(), 1);
-        let parallel = EvalEngine::with_threads(jittery_env(), 5);
-        let a = sequential.evaluate_batch(&cfgs).unwrap();
-        let b = parallel.evaluate_batch(&cfgs).unwrap();
+        let (one, five) = (EvalService::with_threads(1), EvalService::with_threads(5));
+        let a = one.register(jittery_env()).evaluate_batch(&cfgs).unwrap();
+        let b = five.register(jittery_env()).evaluate_batch(&cfgs).unwrap();
         assert_eq!(
             a, b,
             "derived per-candidate seeds must decouple results from threads"
@@ -1643,31 +1403,28 @@ mod tests {
     fn batch_duplicates_are_simulated_once_and_counted_as_hits() {
         let one = ConfigMap::uniform(2, ResourceConfig::new(2.0, 1_024));
         let cfgs = vec![one.clone(), one.clone(), one.clone(), one];
-        let engine = EvalEngine::with_threads(env(), 4);
-        let reports = engine.evaluate_batch(&cfgs).unwrap();
+        let service = EvalService::with_threads(4);
+        let handle = service.register(env());
+        let reports = handle.evaluate_batch(&cfgs).unwrap();
         assert_eq!(reports.len(), 4);
         assert!(reports.windows(2).all(|w| w[0] == w[1]));
-        let stats = engine.stats();
+        let stats = handle.stats();
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.cache_hits, 3);
     }
 
     #[test]
     fn eviction_never_changes_results() {
-        let tiny = EvalEngine::new(
-            env(),
-            EvalOptions {
-                threads: 1,
-                cache_capacity: SHARD_COUNT, // one entry per shard
-            },
-        );
-        let reference = EvalEngine::new(
-            env(),
-            EvalOptions {
-                threads: 1,
-                cache_capacity: 0, // memoisation disabled entirely
-            },
-        );
+        let tiny_service = EvalService::new(EvalOptions {
+            threads: 1,
+            cache_capacity: SHARD_COUNT, // one entry per shard
+        });
+        let uncached_service = EvalService::new(EvalOptions {
+            threads: 1,
+            cache_capacity: 0, // memoisation disabled entirely
+        });
+        let tiny = tiny_service.register(env());
+        let reference = uncached_service.register(env());
         let cfgs = candidates(60);
         // Fill way past capacity, then walk the set again: many entries have
         // been evicted and recomputed, but every report must match the
@@ -1678,40 +1435,27 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(first, fresh);
         assert!(tiny.stats().evictions > 0, "capacity pressure must evict");
-        assert!(tiny.cached_entries() <= SHARD_COUNT);
-        assert_eq!(reference.cached_entries(), 0);
+        assert!(tiny_service.cached_entries() <= SHARD_COUNT);
+        assert_eq!(uncached_service.cached_entries(), 0);
         assert_eq!(reference.stats().cache_hits, 0);
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let engine = EvalEngine::single_threaded(env());
-        assert!(engine.evaluate_batch(&[]).unwrap().is_empty());
-        assert_eq!(engine.stats().requests, 0);
+        let service = EvalService::default();
+        let handle = service.register(env());
+        assert!(handle.evaluate_batch(&[]).unwrap().is_empty());
+        assert_eq!(handle.stats().requests, 0);
     }
 
     #[test]
     fn batch_errors_propagate_deterministically() {
         let mut bad = candidates(6);
         bad[3] = ConfigMap::uniform(2, ResourceConfig::new(500.0, 512)); // unplaceable
-        let sequential = EvalEngine::with_threads(env(), 1);
-        let parallel = EvalEngine::with_threads(env(), 4);
-        let a = sequential.evaluate_batch(&bad).unwrap_err();
-        let b = parallel.evaluate_batch(&bad).unwrap_err();
+        let (one, four) = (EvalService::with_threads(1), EvalService::with_threads(4));
+        let a = one.register(env()).evaluate_batch(&bad).unwrap_err();
+        let b = four.register(env()).evaluate_batch(&bad).unwrap_err();
         assert_eq!(format!("{a}"), format!("{b}"));
-    }
-
-    #[test]
-    fn clear_cache_forgets_entries_but_keeps_stats() {
-        let engine = EvalEngine::single_threaded(env());
-        let cfg = engine.env().base_configs();
-        engine.evaluate(&cfg).unwrap();
-        assert_eq!(engine.cached_entries(), 1);
-        engine.clear_cache();
-        assert_eq!(engine.cached_entries(), 0);
-        assert_eq!(engine.stats().cache_misses, 1);
-        engine.evaluate(&cfg).unwrap();
-        assert_eq!(engine.stats().cache_misses, 2, "cleared entries recompute");
     }
 
     #[test]
@@ -1723,27 +1467,15 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_environments() {
-        let a = EvalEngine::single_threaded(env());
-        let b = EvalEngine::single_threaded(env());
-        let c = EvalEngine::single_threaded(jittery_env());
+        let service = EvalService::default();
+        let a = service.register(env());
+        let b = service.register(env());
+        let c = service.register(jittery_env());
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
-    // ----- service / handle tests -------------------------------------
-
-    #[test]
-    fn handle_results_match_the_facade_exactly() {
-        let cfgs = candidates(20);
-        let engine = EvalEngine::with_threads(env(), 4);
-        let service = EvalService::with_threads(4);
-        let handle = service.register(env());
-        let via_engine = engine.evaluate_batch(&cfgs).unwrap();
-        let via_handle = handle.evaluate_batch(&cfgs).unwrap();
-        assert_eq!(via_engine, via_handle);
-        assert_eq!(engine.stats(), handle.stats());
-        assert_eq!(engine.fingerprint(), handle.fingerprint());
-    }
+    // ----- multi-scenario service tests --------------------------------
 
     #[test]
     fn two_scenarios_share_one_cache_without_leaking() {
@@ -1809,23 +1541,6 @@ mod tests {
         assert_eq!(second.stats().cache_hits, 1, "same fingerprint shares");
         assert_eq!(service.scenario_stats().len(), 1);
         assert_eq!(service.stats().requests, 2);
-    }
-
-    #[test]
-    fn handle_options_can_opt_out_of_the_shared_cache() {
-        let service = EvalService::with_threads(1);
-        let uncached = service.register_with(
-            env(),
-            EvalOptions {
-                threads: 1,
-                cache_capacity: 0,
-            },
-        );
-        let cfg = uncached.env().base_configs();
-        uncached.evaluate(&cfg).unwrap();
-        uncached.evaluate(&cfg).unwrap();
-        assert_eq!(uncached.stats().cache_hits, 0);
-        assert_eq!(service.cached_entries(), 0);
     }
 
     #[test]
@@ -1976,8 +1691,10 @@ mod tests {
             inter2.extend(h2.evaluate_batch(chunk).unwrap());
         }
 
-        let solo1 = EvalEngine::with_threads(env(), 3);
-        let solo2 = EvalEngine::with_threads(jittery_env(), 3);
+        let (alone_service1, alone_service2) =
+            (EvalService::with_threads(3), EvalService::with_threads(3));
+        let solo1 = alone_service1.register(env());
+        let solo2 = alone_service2.register(jittery_env());
         let mut alone1 = Vec::new();
         let mut alone2 = Vec::new();
         for chunk in cfgs.chunks(3) {

@@ -1,27 +1,18 @@
-//! Discrete-event execution of a workflow DAG under a resource
-//! configuration.
+//! The materialised side of a simulation: the [`ExecutionReport`] with
+//! per-function names and the full event trace.
 //!
-//! Since the kernel refactor this module owns the *materialised* side of a
-//! simulation: the [`ExecutionReport`] with per-function names and the full
-//! event trace. The discrete-event loop itself lives in
-//! [`kernel`](crate::kernel) — [`execute_workflow`] compiles the scenario,
-//! runs the kernel once with trace recording on, and hands back the full
-//! report. Hot paths (the search methods, via
-//! [`EvalEngine`](crate::eval::EvalEngine)) use the kernel's lean
+//! The discrete-event loop itself lives in [`kernel`](crate::kernel), and
+//! [`CompiledScenario::simulate_report`](crate::kernel::CompiledScenario::simulate_report)
+//! — one kernel run with trace recording on — is the only producer of a
+//! report. Hot paths (the search methods, through
+//! [`ScenarioHandle`](crate::eval::ScenarioHandle)) use the kernel's lean
 //! [`SimResult`](crate::kernel::SimResult) instead and only materialise an
 //! `ExecutionReport` for winners.
 
 use serde::{Deserialize, Serialize};
 
-use aarc_workflow::{NodeId, Workflow};
+use aarc_workflow::NodeId;
 
-use crate::cluster::ClusterSpec;
-use crate::cost::PricingModel;
-use crate::env::ConfigMap;
-use crate::error::SimulatorError;
-use crate::input::InputSpec;
-use crate::kernel::{CompiledScenario, SimScratch};
-use crate::perf_model::ProfileSet;
 use crate::resources::ResourceConfig;
 use crate::trace::ExecutionTrace;
 
@@ -141,63 +132,17 @@ impl ExecutionReport {
     }
 }
 
-/// Executes `workflow` once under `configs`, materialising the full report
-/// (per-function names and the complete event trace).
-///
-/// This is the low-level entry point; most callers use
-/// [`WorkflowEnvironment::execute`](crate::env::WorkflowEnvironment::execute)
-/// which bundles the static arguments, and the search methods go through
-/// [`EvalEngine`](crate::eval::EvalEngine), which compiles the scenario once
-/// and reuses a [`SimScratch`] per worker instead of paying the per-call
-/// compilation this wrapper does.
-///
-/// # Errors
-///
-/// Returns an error if a function lacks a profile or configuration, or if a
-/// configuration can never fit on any cluster host.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_workflow(
-    workflow: &Workflow,
-    profiles: &ProfileSet,
-    configs: &ConfigMap,
-    input: InputSpec,
-    cluster: &ClusterSpec,
-    pricing: &PricingModel,
-    seed: u64,
-) -> Result<ExecutionReport, SimulatorError> {
-    let n = workflow.len();
-    if configs.len() != n {
-        return Err(SimulatorError::ConfigCountMismatch {
-            expected: n,
-            got: configs.len(),
-        });
-    }
-    // Validate in the order this function always has (per node: profile,
-    // then placeability) so error reporting is unchanged even though the
-    // kernel re-checks placement itself.
-    for id in workflow.node_ids() {
-        if profiles.get(id).is_none() {
-            return Err(SimulatorError::MissingProfile {
-                node: id,
-                name: workflow.function(id).name().to_owned(),
-            });
-        }
-        if !cluster.can_fit(configs.get(id)) {
-            return Err(SimulatorError::Unplaceable { node: id });
-        }
-    }
-
-    let scenario = CompiledScenario::compile(workflow, profiles, *cluster, *pricing)?;
-    scenario.simulate_report(&mut SimScratch::new(), configs, input, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterSpec;
+    use crate::cost::PricingModel;
     use crate::env::ConfigMap;
-    use crate::perf_model::FunctionProfile;
+    use crate::input::InputSpec;
+    use crate::kernel::{CompiledScenario, SimScratch};
+    use crate::perf_model::{FunctionProfile, ProfileSet};
     use crate::trace::TraceEvent;
-    use aarc_workflow::WorkflowBuilder;
+    use aarc_workflow::{Workflow, WorkflowBuilder};
 
     fn two_step_workflow() -> (Workflow, ProfileSet) {
         let mut b = WorkflowBuilder::new("two");
@@ -224,24 +169,19 @@ mod tests {
         profiles: &ProfileSet,
         configs: &ConfigMap,
         cluster: &ClusterSpec,
+        seed: u64,
     ) -> ExecutionReport {
-        execute_workflow(
-            wf,
-            profiles,
-            configs,
-            InputSpec::nominal(),
-            cluster,
-            &PricingModel::paper(),
-            42,
-        )
-        .unwrap()
+        CompiledScenario::compile(wf, profiles, *cluster, PricingModel::paper())
+            .unwrap()
+            .simulate_report(&mut SimScratch::new(), configs, InputSpec::nominal(), seed)
+            .unwrap()
     }
 
     #[test]
     fn sequential_functions_run_back_to_back() {
         let (wf, profiles) = two_step_workflow();
         let configs = ConfigMap::uniform(wf.len(), ResourceConfig::new(1.0, 512));
-        let report = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed());
+        let report = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed(), 42);
         assert!(!report.any_oom());
         // 1 s + 2 s plus a small transfer.
         assert!(report.makespan_ms() >= 3_000.0);
@@ -274,7 +214,7 @@ mod tests {
             );
         }
         let configs = ConfigMap::uniform(wf.len(), ResourceConfig::new(1.0, 512));
-        let report = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed());
+        let report = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed(), 42);
         // 3 levels of 1 s each, not 4 s: the two workers overlap.
         assert!(report.makespan_ms() < 3_200.0);
         assert!(report.makespan_ms() >= 3_000.0);
@@ -304,7 +244,7 @@ mod tests {
             ..ClusterSpec::paper_testbed()
         };
         let configs = ConfigMap::uniform(wf.len(), ResourceConfig::new(1.0, 512));
-        let report = run(&wf, &profiles, &configs, &tiny_cluster);
+        let report = run(&wf, &profiles, &configs, &tiny_cluster, 42);
         // Only one fits at a time, so the second waits for the first.
         assert!(report.makespan_ms() >= 2_000.0);
         let queued = report
@@ -332,107 +272,23 @@ mod tests {
                 .build(),
         );
         let configs = ConfigMap::uniform(wf.len(), ResourceConfig::new(1.0, 512));
-        let report = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed());
+        let report = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed(), 42);
         assert!(report.any_oom());
         assert!(!report.meets_slo(1_000_000.0));
-    }
-
-    #[test]
-    fn unplaceable_config_is_an_error() {
-        let (wf, profiles) = two_step_workflow();
-        let configs = ConfigMap::uniform(wf.len(), ResourceConfig::new(200.0, 512));
-        let err = execute_workflow(
-            &wf,
-            &profiles,
-            &configs,
-            InputSpec::nominal(),
-            &ClusterSpec::paper_testbed(),
-            &PricingModel::paper(),
-            0,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimulatorError::Unplaceable { .. }));
-    }
-
-    #[test]
-    fn missing_profile_is_an_error() {
-        let mut b = WorkflowBuilder::new("missing");
-        let a = b.add_function("present");
-        let c = b.add_function("absent");
-        b.add_edge(a, c).unwrap();
-        let wf = b.build().unwrap();
-        let mut profiles = ProfileSet::new();
-        profiles.insert(
-            a,
-            FunctionProfile::builder("present").serial_ms(10.0).build(),
-        );
-        let configs = ConfigMap::uniform(wf.len(), ResourceConfig::new(1.0, 512));
-        let err = execute_workflow(
-            &wf,
-            &profiles,
-            &configs,
-            InputSpec::nominal(),
-            &ClusterSpec::paper_testbed(),
-            &PricingModel::paper(),
-            0,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimulatorError::MissingProfile { .. }));
-    }
-
-    #[test]
-    fn config_map_length_mismatch_is_an_error() {
-        let (wf, profiles) = two_step_workflow();
-        let configs = ConfigMap::uniform(1, ResourceConfig::new(1.0, 512));
-        let err = execute_workflow(
-            &wf,
-            &profiles,
-            &configs,
-            InputSpec::nominal(),
-            &ClusterSpec::paper_testbed(),
-            &PricingModel::paper(),
-            0,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            SimulatorError::ConfigCountMismatch {
-                expected: 2,
-                got: 1
-            }
-        ));
     }
 
     #[test]
     fn deterministic_without_jitter_and_varies_with_jitter() {
         let (wf, profiles) = two_step_workflow();
         let configs = ConfigMap::uniform(wf.len(), ResourceConfig::new(1.0, 512));
-        let r1 = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed());
-        let r2 = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed());
+        let r1 = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed(), 42);
+        let r2 = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed(), 42);
         assert_eq!(r1.makespan_ms(), r2.makespan_ms());
         assert_eq!(r1.total_cost(), r2.total_cost());
 
         let jittery = ClusterSpec::paper_testbed_with_jitter(0.05);
-        let j1 = execute_workflow(
-            &wf,
-            &profiles,
-            &configs,
-            InputSpec::nominal(),
-            &jittery,
-            &PricingModel::paper(),
-            1,
-        )
-        .unwrap();
-        let j2 = execute_workflow(
-            &wf,
-            &profiles,
-            &configs,
-            InputSpec::nominal(),
-            &jittery,
-            &PricingModel::paper(),
-            2,
-        )
-        .unwrap();
+        let j1 = run(&wf, &profiles, &configs, &jittery, 1);
+        let j2 = run(&wf, &profiles, &configs, &jittery, 2);
         assert_ne!(j1.makespan_ms(), j2.makespan_ms());
     }
 
@@ -440,7 +296,7 @@ mod tests {
     fn cost_matches_pricing_model_sum() {
         let (wf, profiles) = two_step_workflow();
         let configs = ConfigMap::uniform(wf.len(), ResourceConfig::new(2.0, 1024));
-        let report = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed());
+        let report = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed(), 42);
         let pricing = PricingModel::paper();
         let manual: f64 = report
             .executions()
@@ -454,12 +310,12 @@ mod tests {
     fn cold_starts_add_latency_but_not_billed_runtime() {
         let (wf, profiles) = two_step_workflow();
         let configs = ConfigMap::uniform(wf.len(), ResourceConfig::new(1.0, 512));
-        let warm = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed());
+        let warm = run(&wf, &profiles, &configs, &ClusterSpec::paper_testbed(), 42);
         let cold_cluster = ClusterSpec {
             cold_start: crate::cluster::ColdStartModel::typical(),
             ..ClusterSpec::paper_testbed()
         };
-        let cold = run(&wf, &profiles, &configs, &cold_cluster);
+        let cold = run(&wf, &profiles, &configs, &cold_cluster, 42);
         assert!(cold.makespan_ms() > warm.makespan_ms());
         assert!((cold.total_cost() - warm.total_cost()).abs() < 1e-9);
     }

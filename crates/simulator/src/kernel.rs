@@ -1,13 +1,13 @@
 //! The zero-allocation simulation kernel.
 //!
-//! PR 2's `EvalEngine` made candidate evaluation parallel and memoised;
-//! profiling showed the remaining per-simulation cost was dominated by
-//! avoidable allocation, not modelling: every `execute_workflow` call cloned
-//! a `String` name per function, scanned the workflow's edge list linearly
-//! per successor wake-up, recorded a trace nobody read, and rebuilt its
-//! event heap and state vectors from scratch — and the memo-cache then
-//! cloned the full report (names, trace and all) on every hit. This module
-//! splits the simulation path into three pieces that eliminate all of that:
+//! Candidate evaluation is parallel and memoised (see [`eval`](crate::eval)),
+//! so the per-simulation cost is dominated by avoidable allocation, not
+//! modelling, unless the simulation avoids it: a naive run clones a `String`
+//! name per function, scans the workflow's edge list linearly per successor
+//! wake-up, records a trace nobody reads, and rebuilds its event heap and
+//! state vectors from scratch — and a memo-cache of full reports clones
+//! names and trace on every hit. This module splits the simulation path
+//! into three pieces that eliminate all of that:
 //!
 //! * [`CompiledScenario`] — everything static about a
 //!   [`WorkflowEnvironment`](crate::env::WorkflowEnvironment), precomputed
@@ -137,7 +137,7 @@ pub struct NodeSimOutcome {
 }
 
 /// The lean result of one simulation: what the searchers observe and what
-/// the [`EvalEngine`](crate::eval::EvalEngine) memo-cache stores.
+/// the [`EvalService`](crate::eval::EvalService) memo-cache stores.
 ///
 /// Cloning is a reference-count bump plus a handful of scalars — no
 /// `String`s, no trace, no per-node reallocation — which is what makes
@@ -150,7 +150,7 @@ pub struct NodeSimOutcome {
 /// `(input, seed)` it was produced under so the matching full
 /// [`ExecutionReport`](crate::executor::ExecutionReport) can be
 /// re-materialised on demand (see
-/// [`EvalEngine::materialize_result`](crate::eval::EvalEngine::materialize_result)).
+/// [`ScenarioHandle::materialize_result`](crate::eval::ScenarioHandle::materialize_result)).
 #[derive(Clone)]
 pub struct SimResult {
     slab: Arc<[NodeSimOutcome]>,
@@ -405,7 +405,7 @@ struct RelaxSummary {
 /// states, execution records, cluster placement state and the capacity wait
 /// queue — so that repeated simulations reuse their allocations instead of
 /// rebuilding them. One scratch serves one simulation at a time; the
-/// [`EvalEngine`](crate::eval::EvalEngine) keeps a pool of them, one per
+/// [`EvalService`](crate::eval::EvalService) keeps a pool of them, one per
 /// active worker.
 #[derive(Debug, Default)]
 pub struct SimScratch {
@@ -1228,9 +1228,10 @@ impl CompiledScenario {
     }
 
     /// Runs one simulation recording the full event trace and materialises
-    /// the complete [`ExecutionReport`] (names included). The cold path:
-    /// used for search winners, CLI `run` output and direct
-    /// [`execute_workflow`](crate::executor::execute_workflow) calls.
+    /// the complete [`ExecutionReport`] (names included) — the only way a
+    /// report is produced. The cold path: used for search winners, CLI
+    /// `run` output and
+    /// [`WorkflowEnvironment::execute`](crate::env::WorkflowEnvironment::execute).
     ///
     /// # Errors
     ///

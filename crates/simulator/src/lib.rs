@@ -22,9 +22,9 @@
 //!   [`CompiledScenario`] (static structure precomputed once per
 //!   environment), [`SimScratch`] (a reusable per-worker arena) and
 //!   [`SimResult`] (the lean result the searchers and the memo-cache use).
-//! * [`executor`] — discrete-event execution of a workflow DAG under a
-//!   configuration, materialising a full [`ExecutionReport`] (names +
-//!   trace) on top of the kernel.
+//! * [`executor`] — the materialised side of a simulation: the full
+//!   [`ExecutionReport`] (names + trace) that
+//!   [`CompiledScenario::simulate_report`] produces.
 //! * [`profiler`] — profiling runs with dummy input that produce the node
 //!   weights consumed by the Graph-Centric Scheduler.
 //! * [`env`](mod@crate::env) — [`WorkflowEnvironment`], the bundle (workflow
@@ -32,8 +32,8 @@
 //! * [`eval`](mod@crate::eval) — the candidate-evaluation layer the
 //!   searchers submit through: a process-wide [`EvalService`] (deterministic
 //!   worker pool, sharded fingerprint-keyed memo-cache, scratch arenas)
-//!   borrowed by cheap per-scenario [`ScenarioHandle`]s, with
-//!   [`EvalEngine`] as a single-scenario compatibility facade.
+//!   borrowed by cheap per-scenario [`ScenarioHandle`]s — the one way to
+//!   evaluate a candidate.
 //!
 //! # Example
 //!
@@ -82,7 +82,7 @@ pub use cost::PricingModel;
 pub use env::{ConfigMap, WorkflowEnvironment, WorkflowEnvironmentBuilder};
 pub use error::SimulatorError;
 pub use eval::{
-    derive_seed, EvalEngine, EvalOptions, EvalService, EvalStats, EvalTelemetry, ScenarioEvalStats,
+    derive_seed, EvalOptions, EvalService, EvalStats, EvalTelemetry, ScenarioEvalStats,
     ScenarioHandle, ServiceSnapshot,
 };
 pub use executor::{ExecutionReport, FunctionExecution};
@@ -101,8 +101,7 @@ pub mod prelude {
     pub use crate::env::{ConfigMap, WorkflowEnvironment};
     pub use crate::error::SimulatorError;
     pub use crate::eval::{
-        EvalEngine, EvalOptions, EvalService, EvalStats, ScenarioEvalStats, ScenarioHandle,
-        ServiceSnapshot,
+        EvalOptions, EvalService, EvalStats, ScenarioEvalStats, ScenarioHandle, ServiceSnapshot,
     };
     pub use crate::executor::ExecutionReport;
     pub use crate::input::{InputClass, InputSpec};

@@ -2,13 +2,13 @@
 //! configuration, input and seed, the compiled kernel's lean [`SimResult`]
 //! and the materialised [`ExecutionReport`] must agree *exactly* — same
 //! makespan, cost, OOM flag and per-node timings, bit for bit — whether the
-//! simulation runs through the [`EvalEngine`], through a manually driven
-//! [`CompiledScenario`] with a reused [`SimScratch`], or through the
-//! `execute_workflow` compatibility path.
+//! simulation runs through an [`EvalService`] handle, through a manually
+//! driven [`CompiledScenario`] with a reused [`SimScratch`], or through the
+//! one-off [`WorkflowEnvironment::execute_with`] path.
 
 use aarc_simulator::kernel::{BatchSim, CompiledScenario, SimScratch};
 use aarc_simulator::{
-    ClusterSpec, ConfigMap, EvalEngine, EvalOptions, FunctionProfile, InputSpec, PricingModel,
+    ClusterSpec, ConfigMap, EvalOptions, EvalService, FunctionProfile, InputSpec, PricingModel,
     ProfileSet, ResourceConfig, ResourceSpace, WorkflowEnvironment,
 };
 use aarc_workflow::{CommunicationKind, NodeId, WorkflowBuilder};
@@ -119,8 +119,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The lean result and the materialised report agree exactly on every
-    /// observable, across the engine path, the manual kernel path (with a
-    /// dirty, reused scratch) and the compatibility executor.
+    /// observable, across the service path, the manual kernel path (with a
+    /// dirty, reused scratch) and the one-off environment path.
     #[test]
     fn kernel_result_and_materialised_report_agree_exactly(
         case in arb_case(),
@@ -133,9 +133,11 @@ proptest! {
         let n = env.workflow().len();
         let input = InputSpec::new(scale, payload);
 
-        // Path 1: the engine (memo-cache disabled so the kernel always runs).
-        let engine = EvalEngine::new(env.clone(), EvalOptions { threads: 1, cache_capacity: 0 });
-        let result = engine.evaluate_with(configs, input, seed).unwrap();
+        // Path 1: a service handle (memo-cache disabled so the kernel
+        // always runs).
+        let service = EvalService::new(EvalOptions { threads: 1, cache_capacity: 0 });
+        let handle = service.register(env.clone());
+        let result = handle.evaluate_with(configs, input, seed).unwrap();
 
         // Path 2: a manually driven scenario with a deliberately dirty
         // scratch (warmed up on a different candidate first).
@@ -152,20 +154,11 @@ proptest! {
         let manual = compiled.simulate(&mut scratch, configs, input, seed).unwrap();
         prop_assert_eq!(&manual, &result);
 
-        // Path 3: the materialised full report (trace recording on) and the
-        // compatibility executor.
-        let report = engine.materialize_result(configs, &result).unwrap();
-        let compat = aarc_simulator::executor::execute_workflow(
-            env.workflow(),
-            env.profiles(),
-            configs,
-            input,
-            env.cluster(),
-            env.pricing(),
-            seed,
-        )
-        .unwrap();
-        prop_assert_eq!(&report, &compat);
+        // Path 3: the materialised full report (trace recording on), via
+        // the handle and via the environment's one-off compile.
+        let report = handle.materialize_result(configs, &result).unwrap();
+        let one_off = env.execute_with(configs, input, seed).unwrap();
+        prop_assert_eq!(&report, &one_off);
 
         // Exact agreement between the lean and the full views, bit for bit.
         prop_assert_eq!(result.makespan_ms().to_bits(), report.makespan_ms().to_bits());
@@ -280,7 +273,7 @@ proptest! {
         }
     }
 
-    /// Engine results are reproducible: evaluating the same candidate twice
+    /// Service results are reproducible: evaluating the same candidate twice
     /// with caching disabled re-runs the kernel and lands on the identical
     /// result (scratch reuse leaks nothing between runs).
     #[test]
@@ -289,12 +282,13 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let env = &case.env;
-        let engine = EvalEngine::new(env.clone(), EvalOptions { threads: 1, cache_capacity: 0 });
+        let service = EvalService::new(EvalOptions { threads: 1, cache_capacity: 0 });
+        let handle = service.register(env.clone());
         let configs = env.base_configs();
-        let a = engine.evaluate_with(&configs, env.input(), seed).unwrap();
-        let b = engine.evaluate_with(&configs, env.input(), seed).unwrap();
+        let a = handle.evaluate_with(&configs, env.input(), seed).unwrap();
+        let b = handle.evaluate_with(&configs, env.input(), seed).unwrap();
         prop_assert_eq!(a, b);
-        prop_assert_eq!(engine.stats().cache_hits, 0);
+        prop_assert_eq!(handle.stats().cache_hits, 0);
     }
 }
 

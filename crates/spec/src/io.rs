@@ -152,6 +152,7 @@ pub fn save(spec: &ScenarioSpec, path: impl AsRef<Path>) -> Result<(), SpecError
 /// and `path` is left untouched.
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     let path = path.as_ref();
     let dir = match path.parent() {
@@ -162,10 +163,17 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| std::io::Error::other(format!("{}: no file name", path.display())))?;
-    // The process id keeps concurrent writers (two daemons pointed at
-    // the same directory by mistake) from clobbering each other's temp
-    // file; the rename still serializes the final content.
-    let tmp = dir.join(format!(".{name}.{}.tmp", std::process::id()));
+    // The process id and a process-wide sequence number give every write
+    // its own temp file — across processes (two daemons pointed at the
+    // same directory by mistake) and across threads of one process — so
+    // concurrent writers never rename each other's temp file away; the
+    // rename still serializes the final content.
+    static SEQUENCE: AtomicU64 = AtomicU64::new(0);
+    let tmp = dir.join(format!(
+        ".{name}.{}.{}.tmp",
+        std::process::id(),
+        SEQUENCE.fetch_add(1, Ordering::Relaxed)
+    ));
     let write = (|| {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
@@ -283,6 +291,35 @@ mod tests {
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_all_succeed() {
+        let dir = std::env::temp_dir().join(format!(
+            "aarc-spec-atomic-write-race-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.txt");
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for writer in 0..8 {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..50 {
+                        let body = format!("writer {writer} round {round}");
+                        atomic_write(path, body.as_bytes())
+                            .unwrap_or_else(|e| panic!("writer {writer} round {round}: {e}"));
+                    }
+                });
+            }
+        });
+        // The survivor is one complete write, and no temp file is left.
+        let content = std::fs::read_to_string(&path).unwrap();
+        assert!(content.starts_with("writer "), "{content}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use aarc_core::{ConfigurationSearch, GraphCentricScheduler};
-use aarc_simulator::EvalEngine;
+use aarc_simulator::EvalService;
 
 fn workload(name: &str) -> aarc_workloads::Workload {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -41,8 +41,9 @@ const SEARCH_GOLDENS: [(&str, f64, f64); 3] = [
 fn base_config_executions_match_pre_refactor_goldens() {
     for (name, makespan_ms, total_cost) in BASE_GOLDENS {
         let wl = workload(name);
-        let engine = EvalEngine::single_threaded(wl.env().clone());
-        let result = engine.evaluate(&wl.env().base_configs()).unwrap();
+        let service = EvalService::with_threads(1);
+        let handle = service.register(wl.env().clone());
+        let result = handle.evaluate(&wl.env().base_configs()).unwrap();
         assert_eq!(
             result.makespan_ms(),
             makespan_ms,
@@ -57,7 +58,7 @@ fn base_config_executions_match_pre_refactor_goldens() {
         );
         assert!(!result.any_oom(), "{name}: base config must not OOM");
         // The materialised report agrees bit for bit.
-        let report = engine
+        let report = handle
             .materialize_result(&wl.env().base_configs(), &result)
             .unwrap();
         assert_eq!(
@@ -72,9 +73,9 @@ fn base_config_executions_match_pre_refactor_goldens() {
 fn aarc_search_matches_pre_refactor_goldens() {
     for (name, final_cost, final_makespan_ms) in SEARCH_GOLDENS {
         let wl = workload(name);
-        let engine = EvalEngine::single_threaded(wl.env().clone());
+        let service = EvalService::with_threads(1);
         let outcome = GraphCentricScheduler::default()
-            .search_with(&engine, wl.slo_ms())
+            .search_on(&service.register(wl.env().clone()), wl.slo_ms())
             .unwrap();
         assert_eq!(
             outcome.best_cost(),
