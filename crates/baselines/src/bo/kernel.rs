@@ -28,22 +28,18 @@ impl RbfKernel {
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         let sq_dist: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+        self.at_sq_dist(sq_dist)
+    }
+
+    /// Covariance between two points whose squared distance is `sq_dist`.
+    pub fn at_sq_dist(&self, sq_dist: f64) -> f64 {
         self.variance * (-sq_dist / (2.0 * self.length_scale * self.length_scale)).exp()
     }
 
-    /// The full Gram matrix of a point set, with noise on the diagonal.
-    pub fn gram(&self, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let n = points.len();
-        let mut k = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in i..n {
-                let v = self.eval(&points[i], &points[j]);
-                k[i][j] = v;
-                k[j][i] = v;
-            }
-            k[i][i] += self.noise;
-        }
-        k
+    /// `k(x, x)` for any finite `x`, bit for bit: the squared distance of a
+    /// finite point to itself sums to exactly `+0.0`.
+    pub fn self_covariance(&self) -> f64 {
+        self.at_sq_dist(0.0)
     }
 }
 
@@ -78,15 +74,10 @@ mod tests {
     }
 
     #[test]
-    fn gram_matrix_has_noise_on_diagonal() {
-        let k = RbfKernel::new(1.0, 0.3, 0.01);
-        let pts = vec![vec![0.0], vec![0.5], vec![1.0]];
-        let g = k.gram(&pts);
-        assert_eq!(g.len(), 3);
-        for (i, row) in g.iter().enumerate() {
-            assert!((row[i] - (1.0 + 0.01)).abs() < 1e-12);
-            for (j, &v) in row.iter().enumerate() {
-                assert!((v - g[j][i]).abs() < 1e-12, "gram must be symmetric");
+    fn self_covariance_is_eval_at_any_finite_point() {
+        for k in [RbfKernel::default(), RbfKernel::new(2.5, 0.07, 0.0)] {
+            for p in [vec![0.0], vec![0.25, 1.0], vec![1e-300, 0.3, 0.999_999]] {
+                assert_eq!(k.self_covariance().to_bits(), k.eval(&p, &p).to_bits());
             }
         }
     }
