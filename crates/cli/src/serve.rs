@@ -57,7 +57,8 @@ use aarc_core::{AarcError, RoundPoint, SearchSession, SessionProgress, SessionSt
 use aarc_simulator::{EvalService, EvalTelemetry, ScenarioHandle};
 use aarc_spec::{validate, ScenarioSpec};
 use aarc_telemetry::{
-    events_json, FieldValue, FlightRecorder, Histogram, LogLevel, Logger, Recorder,
+    events_json, FamilySnapshot, FieldValue, FlightRecorder, Histogram, Labels, LogLevel, Logger,
+    Recorder, RecorderSnapshot,
 };
 use aarc_workloads::Workload;
 
@@ -259,6 +260,12 @@ struct ServeState<'s> {
     tenants: TenantRegistry,
     max_live_sessions: usize,
     scenarios: Mutex<BTreeMap<(TenantId, String), ScenarioEntry<'s>>>,
+    /// Per-tenant `(requests, cache hits)` of the fingerprints each tenant
+    /// stopped referencing by deleting scenarios, indexed by [`TenantId`],
+    /// so its `aarc_tenant_eval_*_total` counters never decrease (the
+    /// twin of [`EvalService::unregister`]'s retired total). Locked only
+    /// while holding `scenarios`.
+    retired_eval: Mutex<Vec<(u64, u64)>>,
     sessions: Mutex<BTreeMap<u64, Slot<'s>>>,
     next_session_id: AtomicU64,
     shutdown: AtomicBool,
@@ -308,6 +315,7 @@ impl<'s> ServeState<'s> {
         ServeState {
             service,
             telemetry,
+            retired_eval: Mutex::new(vec![(0, 0); tenants.all().len()]),
             tenants,
             max_live_sessions,
             scenarios: Mutex::new(BTreeMap::new()),
@@ -362,7 +370,7 @@ impl<'s> ServeState<'s> {
             .labeled_counter(
                 "aarc_tenant_http_requests_total",
                 "Authenticated API requests, per tenant.",
-                &[("tenant", tenant)],
+                &Labels::new(&[("tenant", tenant)]),
             )
             .inc();
     }
@@ -375,7 +383,7 @@ impl<'s> ServeState<'s> {
             .labeled_counter(
                 "aarc_tenant_rejected_total",
                 "Requests rejected by admission control, per tenant and reason.",
-                &[("tenant", tenant), ("reason", reason)],
+                &Labels::new(&[("tenant", tenant), ("reason", reason)]),
             )
             .inc();
     }
@@ -1616,7 +1624,9 @@ fn parse_and_compile(body: &[u8]) -> Result<(ScenarioSpec, Workload), (Kind, Str
 /// on the scenario; otherwise drop it from the tenant's namespace. A
 /// fingerprint is only unregistered from the service (purging its cache
 /// entries) when no other entry — of any tenant — still references it:
-/// the memo-cache is shared substrate below the namespaces.
+/// the memo-cache is shared substrate below the namespaces. The totals of
+/// a fingerprint the tenant no longer references move to its retired
+/// tally, so its `aarc_tenant_eval_*_total` counters never decrease.
 fn delete_scenario(
     state: &ServeState<'_>,
     tenant_id: TenantId,
@@ -1667,12 +1677,26 @@ fn delete_scenario(
         }
     }
     let entry = scenarios.remove(&key).expect("checked above");
-    for handle in entry.handles.values() {
-        let fingerprint = handle.fingerprint();
-        let still_referenced = scenarios
-            .values()
-            .any(|e| e.handles.values().any(|h| h.fingerprint() == fingerprint));
-        if !still_referenced {
+    // Two input classes can share one environment, hence one fingerprint:
+    // each fingerprint is retired once.
+    let released: BTreeMap<u64, &ScenarioHandle<'_>> = entry
+        .handles
+        .values()
+        .map(|h| (h.fingerprint(), h))
+        .collect();
+    for (&fingerprint, handle) in &released {
+        let holders: Vec<TenantId> = scenarios
+            .iter()
+            .filter(|(_, e)| e.handles.values().any(|h| h.fingerprint() == fingerprint))
+            .map(|((tenant, _), _)| *tenant)
+            .collect();
+        if !holders.contains(&tenant_id) {
+            let stats = handle.scenario_stats();
+            let mut retired = state.retired_eval.lock().expect("retired eval poisoned");
+            retired[tenant_id].0 += stats.requests;
+            retired[tenant_id].1 += stats.cache_hits;
+        }
+        if holders.is_empty() {
             state.service.unregister(fingerprint);
         }
     }
@@ -2196,70 +2220,43 @@ fn json_response<T: Serialize>(status: u16, value: &T) -> Response {
 // /metrics
 // ---------------------------------------------------------------------------
 
-/// Escapes a Prometheus label value (`\` → `\\`, `"` → `\"`, newline →
-/// `\n`, per the text exposition format).
-fn metric_label(raw: &str) -> String {
-    aarc_telemetry::prom::escape_label_value(raw)
+/// One family of scrape-time series.
+fn family<V>(name: &str, help: &str, series: Vec<(Labels, V)>) -> FamilySnapshot<V> {
+    (name.to_owned(), help.to_owned(), series)
 }
 
-/// Writes one `# HELP`/`# TYPE` header pair for a daemon-rendered family.
-fn family_header(out: &mut String, name: &str, kind: &str, help: &str) {
-    use std::fmt::Write;
-    let _ = writeln!(
-        out,
-        "# HELP {name} {}\n# TYPE {name} {kind}",
-        aarc_telemetry::prom::escape_help(help)
-    );
+/// One family holding a single unlabelled series.
+fn plain<V>(name: &str, help: &str, value: V) -> FamilySnapshot<V> {
+    family(name, help, vec![(Labels::default(), value)])
 }
 
-/// Renders the Prometheus text exposition: eval-service counters from
-/// [`EvalService::stats_snapshot`] (including the new inflight saturation
-/// signals), per-tenant registry/eval/admission families, per-session
-/// progress gauges (labelled with their tenant), build provenance, and
-/// every instrument of the shared telemetry [`Recorder`] — latency
-/// histograms, kernel counters, and the per-tenant request/rejection
-/// counter families. Every family carries `# HELP`/`# TYPE` headers and
-/// keeps its samples consecutive, as the exposition format requires.
+/// Renders the Prometheus text exposition. The scrape-time values —
+/// eval-service counters from [`EvalService::stats_snapshot`] (including
+/// the inflight saturation signals), per-tenant registry/eval/admission
+/// families, per-session progress gauges (labelled with their tenant),
+/// recovery outcome and build provenance — are put into a
+/// [`RecorderSnapshot`] of their own, then rendered together with the
+/// shared telemetry recorder's (latency histograms, kernel counters, the
+/// per-tenant request/rejection counters) by the one renderer,
+/// [`aarc_telemetry::prom::write_snapshot`]. They are not recorded into
+/// the shared recorder: a session's `state` label changes as it runs, so
+/// a shared gauge would leave its old series behind.
 fn render_metrics(state: &ServeState<'_>) -> String {
-    use std::fmt::Write;
     let snapshot = state.service.stats_snapshot();
-    // Per-tenant registry views, computed under the scenarios lock and
-    // rendered after it is dropped (lock order: scenarios before
-    // sessions, matching every other handler).
-    let tenant_count = state.tenants.all().len();
-    let mut tenant_scenarios = vec![0u64; tenant_count];
-    let mut tenant_fingerprints: Vec<std::collections::BTreeSet<u64>> =
-        vec![Default::default(); tenant_count];
-    let scenario_count = {
-        let scenarios = state.scenarios.lock().expect("scenario registry poisoned");
-        for ((tenant, _), entry) in scenarios.iter() {
-            tenant_scenarios[*tenant] += 1;
-            tenant_fingerprints[*tenant].extend(entry.handles.values().map(|h| h.fingerprint()));
-        }
-        scenarios.len()
-    };
-    let fingerprint_stats: BTreeMap<u64, (u64, u64)> = snapshot
-        .scenarios
-        .iter()
-        .map(|s| (s.fingerprint, (s.requests, s.cache_hits)))
-        .collect();
-    let mut out = String::with_capacity(8192);
-
+    let mut scrape = RecorderSnapshot::default();
     let build = VersionInfo::current();
-    family_header(
-        &mut out,
+    scrape.gauges.push(family(
         "aarc_build_info",
-        "gauge",
         "Build provenance; the value is always 1, the labels carry the data.",
-    );
-    let _ = writeln!(
-        out,
-        "aarc_build_info{{version=\"{}\",rustc=\"{}\",profile=\"{}\"}} 1",
-        metric_label(&build.version),
-        metric_label(&build.rustc),
-        metric_label(&build.profile)
-    );
-
+        vec![(
+            Labels::new(&[
+                ("version", &build.version),
+                ("rustc", &build.rustc),
+                ("profile", &build.profile),
+            ]),
+            1.0,
+        )],
+    ));
     for (name, help, value) in [
         (
             "aarc_eval_requests_total",
@@ -2282,118 +2279,83 @@ fn render_metrics(state: &ServeState<'_>) -> String {
             snapshot.stats.evictions,
         ),
     ] {
-        family_header(&mut out, name, "counter", help);
-        let _ = writeln!(out, "{name} {value}");
+        scrape.counters.push(plain(name, help, value));
     }
 
-    // Per-tenant eval-cache visibility: each tenant only ever sees the
-    // aggregate over its own scenarios' fingerprints.
-    let tenant_eval: Vec<(u64, u64)> = tenant_fingerprints
-        .iter()
-        .map(|fingerprints| {
-            fingerprints
-                .iter()
-                .filter_map(|fp| fingerprint_stats.get(fp))
-                .fold((0, 0), |(r, h), &(requests, hits)| (r + requests, h + hits))
-        })
-        .collect();
-    family_header(
-        &mut out,
-        "aarc_tenant_eval_requests_total",
-        "counter",
-        "Candidate evaluations over the tenant's registered scenarios.",
-    );
-    for (tenant, &(requests, _)) in state.tenants.all().iter().zip(&tenant_eval) {
-        let _ = writeln!(
-            out,
-            "aarc_tenant_eval_requests_total{{tenant=\"{}\"}} {requests}",
-            metric_label(&tenant.name)
-        );
-    }
-    family_header(
-        &mut out,
-        "aarc_tenant_eval_cache_hits_total",
-        "counter",
-        "Memo-cache hits over the tenant's registered scenarios.",
-    );
-    for (tenant, &(_, hits)) in state.tenants.all().iter().zip(&tenant_eval) {
-        let _ = writeln!(
-            out,
-            "aarc_tenant_eval_cache_hits_total{{tenant=\"{}\"}} {hits}",
-            metric_label(&tenant.name)
-        );
+    // Per-tenant registry views, computed under the scenarios lock (lock
+    // order: scenarios before sessions, matching every other handler).
+    // Each tenant only ever sees eval traffic over its own scenarios'
+    // fingerprints, plus the retired totals of fingerprints it deleted.
+    let tenants = state.tenants.all();
+    let mut tenant_scenarios = vec![0u64; tenants.len()];
+    let mut tenant_fingerprints = vec![std::collections::BTreeSet::new(); tenants.len()];
+    let (scenario_count, mut tenant_eval) = {
+        let scenarios = state.scenarios.lock().expect("scenario registry poisoned");
+        for ((tenant, _), entry) in scenarios.iter() {
+            tenant_scenarios[*tenant] += 1;
+            tenant_fingerprints[*tenant].extend(entry.handles.values().map(|h| h.fingerprint()));
+        }
+        let retired = state.retired_eval.lock().expect("retired eval poisoned");
+        (scenarios.len(), retired.clone())
+    };
+    for stats in &snapshot.scenarios {
+        for (tenant, fingerprints) in tenant_fingerprints.iter().enumerate() {
+            if fingerprints.contains(&stats.fingerprint) {
+                tenant_eval[tenant].0 += stats.requests;
+                tenant_eval[tenant].1 += stats.cache_hits;
+            }
+        }
     }
 
     for (name, help, value) in [
         (
             "aarc_eval_cached_entries",
             "Memo-cache entries currently resident.",
-            snapshot.cached_entries as u64,
+            snapshot.cached_entries,
         ),
         (
             "aarc_eval_threads",
             "Worker threads of the shared evaluation pool.",
-            snapshot.stats.threads as u64,
+            snapshot.stats.threads,
         ),
         (
             "aarc_eval_scenarios_registered",
             "Scenario environments registered with the evaluation service.",
-            snapshot.registered_scenarios as u64,
+            snapshot.registered_scenarios,
         ),
         (
             "aarc_eval_inflight",
             "Evaluation calls executing right now (the saturation signal).",
-            snapshot.inflight as u64,
+            snapshot.inflight,
         ),
         (
             "aarc_eval_inflight_peak",
             "High-water mark of concurrent evaluation calls since boot.",
-            snapshot.inflight_peak as u64,
+            snapshot.inflight_peak,
         ),
         (
             "aarc_admission_max_live_sessions",
             "Global live-session watermark enforced by admission control.",
-            state.max_live_sessions as u64,
+            state.max_live_sessions,
         ),
         (
             "aarc_scenarios",
             "Scenarios in the daemon's runtime registry (all tenants).",
-            scenario_count as u64,
+            scenario_count,
         ),
     ] {
-        family_header(&mut out, name, "gauge", help);
-        let _ = writeln!(out, "{name} {value}");
-    }
-
-    family_header(
-        &mut out,
-        "aarc_tenant_scenarios",
-        "gauge",
-        "Scenarios currently uploaded, per tenant.",
-    );
-    for (tenant, count) in state.tenants.all().iter().zip(&tenant_scenarios) {
-        let _ = writeln!(
-            out,
-            "aarc_tenant_scenarios{{tenant=\"{}\"}} {count}",
-            metric_label(&tenant.name)
-        );
+        scrape.gauges.push(plain(name, help, value as f64));
     }
 
     // Recovery families exist only when the daemon persists state, so a
     // daemon without `--state-dir` exposes byte-identical metric
     // families to before the persistence layer existed.
     if state.persist.is_some() {
-        family_header(
-            &mut out,
+        scrape.gauges.push(plain(
             "aarc_recovery_in_progress",
-            "gauge",
             "1 while startup recovery is replaying durable state, 0 after.",
-        );
-        let _ = writeln!(
-            out,
-            "aarc_recovery_in_progress {}",
-            u64::from(state.recovering())
-        );
+            if state.recovering() { 1.0 } else { 0.0 },
+        ));
         let recovery = state.recovery.lock().expect("recovery report poisoned");
         if let Some(report) = recovery.as_ref() {
             for (name, help, value) in [
@@ -2428,134 +2390,119 @@ fn render_metrics(state: &ServeState<'_>) -> String {
                     report.quarantined.len() as u64,
                 ),
             ] {
-                family_header(&mut out, name, "gauge", help);
-                let _ = writeln!(out, "{name} {value}");
+                scrape.gauges.push(plain(name, help, value as f64));
             }
         }
     }
 
     let sessions = state.sessions.lock().expect("session table poisoned");
-    let live = sessions.values().filter(|s| s.phase.is_live()).count();
-    let mut tenant_live = vec![0u64; tenant_count];
+    let mut tenant_live = vec![0u64; tenants.len()];
     for slot in sessions.values().filter(|s| s.phase.is_live()) {
         tenant_live[slot.tenant] += 1;
     }
-    family_header(
-        &mut out,
+    scrape.counters.push(plain(
         "aarc_sessions_total",
-        "counter",
         "Search sessions started since daemon boot.",
-    );
-    let _ = writeln!(out, "aarc_sessions_total {}", sessions.len());
-    family_header(
-        &mut out,
+        sessions.len() as u64,
+    ));
+    scrape.gauges.push(plain(
         "aarc_sessions_live",
-        "gauge",
         "Sessions currently running or paused (all tenants).",
-    );
-    let _ = writeln!(out, "aarc_sessions_live {live}");
-    family_header(
-        &mut out,
-        "aarc_tenant_sessions_live",
-        "gauge",
-        "Sessions currently running or paused, per tenant.",
-    );
-    for (tenant, count) in state.tenants.all().iter().zip(&tenant_live) {
-        let _ = writeln!(
-            out,
-            "aarc_tenant_sessions_live{{tenant=\"{}\"}} {count}",
-            metric_label(&tenant.name)
-        );
+        tenant_live.iter().sum::<u64>() as f64,
+    ));
+    let tenant_labels: Vec<Labels> = tenants
+        .iter()
+        .map(|tenant| Labels::new(&[("tenant", &tenant.name)]))
+        .collect();
+    for (name, help, values) in [
+        (
+            "aarc_tenant_eval_requests_total",
+            "Candidate evaluations over the tenant's registered scenarios.",
+            tenant_eval.iter().map(|e| e.0).collect::<Vec<_>>(),
+        ),
+        (
+            "aarc_tenant_eval_cache_hits_total",
+            "Memo-cache hits over the tenant's registered scenarios.",
+            tenant_eval.iter().map(|e| e.1).collect(),
+        ),
+    ] {
+        let series = tenant_labels.iter().cloned().zip(values).collect();
+        scrape.counters.push(family(name, help, series));
+    }
+    for (name, help, values) in [
+        (
+            "aarc_tenant_scenarios",
+            "Scenarios currently uploaded, per tenant.",
+            tenant_scenarios,
+        ),
+        (
+            "aarc_tenant_sessions_live",
+            "Sessions currently running or paused, per tenant.",
+            tenant_live,
+        ),
+    ] {
+        let values = values.into_iter().map(|v| v as f64);
+        let series = tenant_labels.iter().cloned().zip(values).collect();
+        scrape.gauges.push(family(name, help, series));
     }
 
-    // Method/class/state come from fixed vocabularies; scenario and
-    // tenant names are restricted at upload/config load, but escape
-    // anyway so a future relaxation can never corrupt the exposition.
-    // `session` stays the FIRST label (the CI smoke job greps for it);
-    // `tenant` is appended last.
-    let session_labels = |slot: &Slot<'_>| {
-        format!(
-            "session=\"{}\",scenario=\"{}\",method=\"{}\",class=\"{}\",state=\"{}\",tenant=\"{}\"",
-            slot.id,
-            metric_label(&slot.scenario),
-            metric_label(&slot.method),
-            metric_label(&slot.class),
-            slot.phase.label(),
-            metric_label(&state.tenants.tenant(slot.tenant).name)
-        )
-    };
-    // One pass per family so each family's samples stay consecutive under
-    // a single header, as the exposition format requires.
-    if !sessions.is_empty() {
-        family_header(
-            &mut out,
+    // One pass over the sessions fills all four families, each session's
+    // label set rendered once. `session` is the FIRST label (the CI smoke
+    // job greps for it) and `tenant` the last.
+    let mut session_families = [
+        family(
             "aarc_session_rounds",
-            "gauge",
             "Completed ask/evaluate/tell rounds of the session.",
-        );
-        for slot in sessions.values() {
-            let _ = writeln!(
-                out,
-                "aarc_session_rounds{{{}}} {}",
-                session_labels(slot),
-                slot.progress.rounds
-            );
-        }
-        family_header(
-            &mut out,
+            Vec::new(),
+        ),
+        family(
             "aarc_session_evals",
-            "gauge",
             "Candidate evaluations consumed by the session.",
-        );
-        for slot in sessions.values() {
-            let _ = writeln!(
-                out,
-                "aarc_session_evals{{{}}} {}",
-                session_labels(slot),
-                slot.progress.evals
-            );
-        }
-        if sessions.values().any(|s| s.progress.incumbent.is_some()) {
-            family_header(
-                &mut out,
-                "aarc_session_incumbent_cost",
-                "gauge",
-                "Cost of the session's best configuration so far.",
-            );
-            for slot in sessions.values() {
-                if let Some(incumbent) = &slot.progress.incumbent {
-                    let _ = writeln!(
-                        out,
-                        "aarc_session_incumbent_cost{{{}}} {}",
-                        session_labels(slot),
-                        incumbent.cost
-                    );
-                }
-            }
-            family_header(
-                &mut out,
-                "aarc_session_incumbent_makespan_ms",
-                "gauge",
-                "End-to-end makespan of the session's best configuration, ms.",
-            );
-            for slot in sessions.values() {
-                if let Some(incumbent) = &slot.progress.incumbent {
-                    let _ = writeln!(
-                        out,
-                        "aarc_session_incumbent_makespan_ms{{{}}} {}",
-                        session_labels(slot),
-                        incumbent.makespan_ms
-                    );
-                }
+            Vec::new(),
+        ),
+        family(
+            "aarc_session_incumbent_cost",
+            "Cost of the session's best configuration so far.",
+            Vec::new(),
+        ),
+        family(
+            "aarc_session_incumbent_makespan_ms",
+            "End-to-end makespan of the session's best configuration, ms.",
+            Vec::new(),
+        ),
+    ];
+    for slot in sessions.values() {
+        let labels = Labels::new(&[
+            ("session", &slot.id.to_string()),
+            ("scenario", &slot.scenario),
+            ("method", &slot.method),
+            ("class", &slot.class),
+            ("state", slot.phase.label()),
+            ("tenant", &tenants[slot.tenant].name),
+        ]);
+        let incumbent = slot.progress.incumbent.as_ref();
+        let values = [
+            Some(slot.progress.rounds as f64),
+            Some(slot.progress.evals as f64),
+            incumbent.map(|i| i.cost),
+            incumbent.map(|i| i.makespan_ms),
+        ];
+        for ((_, _, series), value) in session_families.iter_mut().zip(values) {
+            if let Some(value) = value {
+                series.push((labels.clone(), value));
             }
         }
     }
     drop(sessions);
+    // A family without sessions (or without incumbents) is not rendered.
+    scrape.gauges.extend(
+        session_families
+            .into_iter()
+            .filter(|(_, _, series)| !series.is_empty()),
+    );
 
-    // Everything recorded through the shared telemetry recorder: latency
-    // histograms (eval batch, queue wait, sim time, HTTP, session step),
-    // kernel counters, the sims/sec gauge, and the per-tenant
-    // request/rejection counter families.
+    let mut out = String::with_capacity(8192);
+    aarc_telemetry::prom::write_snapshot(&mut out, &scrape);
     aarc_telemetry::prom::write_snapshot(&mut out, &state.telemetry.recorder.snapshot());
     out
 }
@@ -2890,7 +2837,6 @@ mod tests {
             assert_problem(&reply, 422);
             assert!(reply.body.contains("[A-Za-z0-9._-]"), "{}", reply.body);
         }
-        assert_eq!(metric_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]
@@ -3450,6 +3396,12 @@ mod tests {
         drain_sessions(&state);
         let status = route(&state, &request("GET", "/sessions/1", b""));
         assert!(status.body.contains("\"paused\""), "{}", status.body);
+        let paused = route(&state, &request("GET", "/metrics", b"")).body;
+        assert!(
+            paused.contains("aarc_session_rounds{session=\"1\",")
+                && paused.contains(",state=\"paused\","),
+            "{paused}"
+        );
         // ...but still counts as live: its scenario cannot be deleted.
         assert_problem(
             &route(&state, &request("DELETE", "/scenarios/chatbot", b"")),
@@ -3461,6 +3413,19 @@ mod tests {
         drain_sessions(&state);
         let status = route(&state, &request("GET", "/sessions/1", b""));
         assert!(status.body.contains("\"finished\""), "{}", status.body);
+        // Session series are rebuilt per scrape: the finished session's
+        // series carry its new state and none of the paused one is left.
+        let finished = route(&state, &request("GET", "/metrics", b"")).body;
+        let series: Vec<&str> = finished
+            .lines()
+            .filter(|l| l.starts_with("aarc_session_") && l.contains("{session=\"1\","))
+            .collect();
+        assert_eq!(series.len(), 4, "{finished}");
+        assert!(
+            series.iter().all(|l| l.contains(",state=\"finished\",")),
+            "{series:?}"
+        );
+        assert!(!finished.contains("state=\"paused\""), "{finished}");
     }
 
     #[test]
@@ -3511,6 +3476,53 @@ mod tests {
             "{line}"
         );
         assert!(line.contains(",tenant=\"anonymous\"}"), "{line}");
+    }
+
+    /// Per-tenant eval counters keep the totals of a deleted scenario,
+    /// like the service-wide `aarc_eval_requests_total` does.
+    #[test]
+    fn tenant_eval_counters_survive_scenario_deletion() {
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        let state = anonymous_state(&service, &telemetry);
+        route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
+        // The second, identical search is answered from the memo-cache.
+        for _ in 0..2 {
+            route(
+                &state,
+                &request(
+                    "POST",
+                    "/sessions",
+                    b"{\"scenario\": \"chatbot\", \"method\": \"random\"}",
+                ),
+            );
+            drain_sessions(&state);
+        }
+        let sample = |body: &str, series: &str| -> u64 {
+            body.lines()
+                .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("missing `{series}` in:\n{body}"))
+                .parse()
+                .unwrap()
+        };
+        let series = [
+            "aarc_eval_requests_total",
+            "aarc_tenant_eval_requests_total{tenant=\"anonymous\"}",
+            "aarc_tenant_eval_cache_hits_total{tenant=\"anonymous\"}",
+        ];
+        let before = route(&state, &request("GET", "/metrics", b"")).body;
+        let before: Vec<u64> = series.iter().map(|s| sample(&before, s)).collect();
+        assert!(before[2] > 0, "the second session hit the cache");
+        assert_eq!(before[0], before[1], "one tenant owns all eval traffic");
+        let deleted = route(&state, &request("DELETE", "/scenarios/chatbot", b""));
+        assert_eq!(deleted.status, 200, "{}", deleted.body);
+        let after = route(&state, &request("GET", "/metrics", b"")).body;
+        assert!(
+            after.contains("aarc_eval_scenarios_registered 0\n"),
+            "{after}"
+        );
+        let after: Vec<u64> = series.iter().map(|s| sample(&after, s)).collect();
+        assert_eq!(after, before);
     }
 
     #[test]

@@ -1755,7 +1755,8 @@ mod tests {
                 .iter()
                 .find(|(n, _, _)| n == name)
                 .unwrap_or_else(|| panic!("missing counter {name}"))
-                .2
+                .2[0]
+                .1
         };
         // 10 batch candidates (distinct) + 1 probe (cache hit, no sim).
         assert_eq!(counter("aarc_kernel_simulations_total"), 10);
@@ -1768,7 +1769,7 @@ mod tests {
             .iter()
             .find(|(n, _, _)| n == "aarc_sims_per_sec")
             .expect("sims/sec gauge registered");
-        assert!(gauge.2 > 0.0);
+        assert!(gauge.2[0].1 > 0.0);
 
         let events = flight.tail(usize::MAX);
         assert_eq!(events.len(), 1, "one eval_batch event, probes are silent");

@@ -22,8 +22,12 @@
 //! * [`build_info`](mod@crate::build) — compile-time provenance (crate
 //!   version, rustc version, cargo profile) for `GET /version`, the
 //!   `aarc_build_info` metric and `BENCH_*.json`.
-//! * [`prom`] — Prometheus text-exposition rendering helpers that emit
-//!   `# HELP`/`# TYPE` headers for every series.
+//! * [`prom`] — the one Prometheus text-exposition renderer:
+//!   [`prom::write_snapshot`] writes a [`RecorderSnapshot`] with one
+//!   `# HELP`/`# TYPE` header per family. The daemon's `/metrics` puts
+//!   its scrape-time values into a [`RecorderSnapshot`] of its own and
+//!   renders it through this function too, so no other code writes
+//!   exposition text.
 //!
 //! Instrumentation built on this crate must be zero-cost when nothing is
 //! attached: every clock read lives behind an `Option` check at the call
@@ -44,6 +48,7 @@ pub use build::{build_info, BuildInfo};
 pub use flight::{events_json, Event, FieldValue, FlightRecorder};
 pub use log::{LogFormat, LogLevel, Logger};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Recorder, RecorderSnapshot, BUCKET_BOUNDS_NS,
+    Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, Labels, Recorder,
+    RecorderSnapshot, BUCKET_BOUNDS_NS,
 };
 pub use span::Span;

@@ -11,6 +11,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::prom::render_labels;
+
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -252,26 +254,92 @@ impl HistogramSnapshot {
     }
 }
 
+/// A series' label set in exposition form, `name="value",...` with the
+/// values escaped; empty for a plain instrument. It is rendered once and
+/// shared by reference count, so one set can key series of several
+/// families, and label sets order by their text.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Labels(Arc<str>);
+
+impl Labels {
+    /// Renders `(name, value)` pairs, in the given order.
+    pub fn new(labels: &[(&str, &str)]) -> Self {
+        Labels(render_labels(labels).into())
+    }
+
+    /// The rendered text, as it goes between a sample's braces.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+/// One metric family: its help text and its series, by label set.
+#[derive(Debug)]
+struct Family<T> {
+    help: String,
+    series: BTreeMap<Labels, Arc<T>>,
+}
+
+/// Families of one instrument kind, by name.
+type Families<T> = Mutex<BTreeMap<String, Family<T>>>;
+
 /// A named-metric registry handing out shared handles and producing
 /// deterministic snapshots.
 ///
 /// Metrics are created lazily via [`Recorder::counter`] /
-/// [`Recorder::gauge`] / [`Recorder::histogram`]; requesting the same name
-/// twice returns the same underlying instrument. Snapshot order is the
-/// `BTreeMap` (lexicographic) order of metric names, so rendered output is
-/// reproducible run to run.
+/// [`Recorder::labeled_counter`] / [`Recorder::gauge`] /
+/// [`Recorder::histogram`]; requesting the same name (and label set)
+/// twice returns the same underlying instrument. Counters and gauges are
+/// keyed by `(family, label set)`, a plain instrument being the empty set,
+/// so snapshot order is the `BTreeMap` order of family names and then
+/// label sets, and rendered output is reproducible run to run.
 #[derive(Debug, Default)]
 pub struct Recorder {
-    counters: Mutex<BTreeMap<String, (String, Arc<Counter>)>>,
-    gauges: Mutex<BTreeMap<String, (String, Arc<Gauge>)>>,
+    counters: Families<Counter>,
+    gauges: Families<Gauge>,
     histograms: Mutex<BTreeMap<String, (String, Arc<Histogram>)>>,
-    /// Labelled counter families, keyed by `(family name, label set)`.
-    /// The `BTreeMap` groups every family's samples together, which the
-    /// exposition renderer relies on (one header per family).
-    labeled_counters: LabeledCounters,
 }
 
-type LabeledCounters = Mutex<BTreeMap<(String, Vec<(String, String)>), (String, Arc<Counter>)>>;
+/// Returns the instrument of family `name` under `labels`, creating it
+/// (and the family, with the given help text) if absent.
+fn instrument<T: Default>(
+    families: &Families<T>,
+    name: &str,
+    help: &str,
+    labels: &Labels,
+) -> Arc<T> {
+    let mut families = families.lock().expect("recorder poisoned");
+    if let Some(family) = families.get_mut(name) {
+        return Arc::clone(family.series.entry(labels.clone()).or_default());
+    }
+    let instrument = Arc::<T>::default();
+    let family = Family {
+        help: help.to_owned(),
+        series: BTreeMap::from([(labels.clone(), Arc::clone(&instrument))]),
+    };
+    families.insert(name.to_owned(), family);
+    instrument
+}
+
+/// Copies every family of an instrument kind, in name order.
+fn snapshot_families<T, V>(
+    families: &Families<T>,
+    value: impl Fn(&T) -> V,
+) -> Vec<FamilySnapshot<V>> {
+    families
+        .lock()
+        .expect("recorder poisoned")
+        .iter()
+        .map(|(name, family)| {
+            let series = family
+                .series
+                .iter()
+                .map(|(labels, instrument)| (labels.clone(), value(instrument)))
+                .collect();
+            (name.clone(), family.help.clone(), series)
+        })
+        .collect()
+}
 
 impl Recorder {
     /// Creates an empty registry.
@@ -282,21 +350,13 @@ impl Recorder {
     /// Returns the counter registered under `name`, creating it with the
     /// given help text if absent.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap();
-        map.entry(name.to_owned())
-            .or_insert_with(|| (help.to_owned(), Arc::new(Counter::new())))
-            .1
-            .clone()
+        self.labeled_counter(name, help, &Labels::default())
     }
 
     /// Returns the gauge registered under `name`, creating it with the
     /// given help text if absent.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap();
-        map.entry(name.to_owned())
-            .or_insert_with(|| (help.to_owned(), Arc::new(Gauge::new())))
-            .1
-            .clone()
+        instrument(&self.gauges, name, help, &Labels::default())
     }
 
     /// Returns the histogram registered under `name`, creating it with the
@@ -309,44 +369,17 @@ impl Recorder {
             .clone()
     }
 
-    /// Returns the counter registered under `name` with the given label
-    /// set (e.g. `[("tenant", "acme")]`), creating it if absent. Samples
-    /// of one family snapshot consecutively, sorted by label values, so
-    /// rendered output stays deterministic. A family name used here must
-    /// not also be used as a plain [`Recorder::counter`] (the exposition
-    /// would emit two headers).
-    pub fn labeled_counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let key = (
-            name.to_owned(),
-            labels
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
-        );
-        let mut map = self.labeled_counters.lock().unwrap();
-        map.entry(key)
-            .or_insert_with(|| (help.to_owned(), Arc::new(Counter::new())))
-            .1
-            .clone()
+    /// Returns the counter of family `name` with the given label set
+    /// (e.g. `Labels::new(&[("tenant", "acme")])`), creating it if absent.
+    pub fn labeled_counter(&self, name: &str, help: &str, labels: &Labels) -> Arc<Counter> {
+        instrument(&self.counters, name, help, labels)
     }
 
     /// Captures every registered metric, in name order.
     pub fn snapshot(&self) -> RecorderSnapshot {
         RecorderSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(name, (help, c))| (name.clone(), help.clone(), c.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(name, (help, g))| (name.clone(), help.clone(), g.get()))
-                .collect(),
+            counters: snapshot_families(&self.counters, Counter::get),
+            gauges: snapshot_families(&self.gauges, Gauge::get),
             histograms: self
                 .histograms
                 .lock()
@@ -354,36 +387,27 @@ impl Recorder {
                 .iter()
                 .map(|(name, (help, h))| (name.clone(), help.clone(), h.snapshot()))
                 .collect(),
-            labeled_counters: self
-                .labeled_counters
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|((name, labels), (help, c))| {
-                    (name.clone(), help.clone(), labels.clone(), c.get())
-                })
-                .collect(),
         }
     }
 }
 
+/// One counter or gauge family: `(name, help, [(labels, value)])`. A
+/// [`Recorder`] lists the series in label-set order, a plain instrument's
+/// empty set first.
+pub type FamilySnapshot<V> = (String, String, Vec<(Labels, V)>);
+
 /// A point-in-time copy of every metric in a [`Recorder`], in
-/// deterministic (name-sorted) order.
+/// deterministic (name, then label set) order. Values read only at render
+/// time can be put into one directly, one [`FamilySnapshot`] per family.
 #[derive(Debug, Clone, Default)]
 pub struct RecorderSnapshot {
-    /// `(name, help, value)` for every counter.
-    pub counters: Vec<(String, String, u64)>,
-    /// `(name, help, value)` for every gauge.
-    pub gauges: Vec<(String, String, f64)>,
+    /// Every counter family.
+    pub counters: Vec<FamilySnapshot<u64>>,
+    /// Every gauge family.
+    pub gauges: Vec<FamilySnapshot<f64>>,
     /// `(name, help, snapshot)` for every histogram.
     pub histograms: Vec<(String, String, HistogramSnapshot)>,
-    /// `(name, help, labels, value)` for every labelled counter, sorted
-    /// by `(name, labels)` so each family's samples are consecutive.
-    pub labeled_counters: Vec<LabeledCounterSample>,
 }
-
-/// One labelled-counter sample: `(name, help, labels, value)`.
-pub type LabeledCounterSample = (String, String, Vec<(String, String)>, u64);
 
 #[cfg(test)]
 mod tests {
@@ -530,13 +554,25 @@ mod tests {
         assert_eq!(
             snap.counters,
             vec![
-                ("a_counter".to_owned(), "first".to_owned(), 10),
-                ("b_counter".to_owned(), "second".to_owned(), 3),
+                (
+                    "a_counter".to_owned(),
+                    "first".to_owned(),
+                    vec![(Labels::default(), 10)]
+                ),
+                (
+                    "b_counter".to_owned(),
+                    "second".to_owned(),
+                    vec![(Labels::default(), 3)]
+                ),
             ]
         );
         assert_eq!(
             snap.gauges,
-            vec![("z_gauge".to_owned(), "a gauge".to_owned(), 2.5)]
+            vec![(
+                "z_gauge".to_owned(),
+                "a gauge".to_owned(),
+                vec![(Labels::default(), 2.5)]
+            )]
         );
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].0, "m_hist");

@@ -9,18 +9,32 @@
 //! [text-based exposition format]:
 //! https://prometheus.io/docs/instrumenting/exposition_formats/
 
-use crate::metrics::{HistogramSnapshot, RecorderSnapshot, BUCKET_BOUNDS_NS};
+use std::fmt::{Display, Write};
 
-/// Escapes a label value: backslash, double-quote and newline.
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+use crate::metrics::{FamilySnapshot, HistogramSnapshot, RecorderSnapshot, BUCKET_BOUNDS_NS};
+
+/// Renders a label set as `name="value",...`, escaping backslash,
+/// double-quote and newline in the values; empty for no labels. This is
+/// the text of a [`Labels`](crate::Labels), which [`write_snapshot`] puts
+/// between a sample's braces.
+pub(crate) fn render_labels(labels: &[(&str, &str)]) -> String {
+    let len = labels.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+    let mut out = String::with_capacity(len);
+    for (i, (key, value)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        out.push_str(key);
+        out.push_str("=\"");
+        for ch in value.chars() {
+            match ch {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
     }
     out
 }
@@ -48,24 +62,6 @@ fn write_header(out: &mut String, name: &str, help: &str, kind: &str) {
     out.push_str(name);
     out.push(' ');
     out.push_str(kind);
-    out.push('\n');
-}
-
-/// Writes a counter family with its headers.
-pub fn write_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    write_header(out, name, help, "counter");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&value.to_string());
-    out.push('\n');
-}
-
-/// Writes a gauge family with its headers.
-pub fn write_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    write_header(out, name, help, "gauge");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&value.to_string());
     out.push('\n');
 }
 
@@ -97,39 +93,28 @@ pub fn write_histogram(out: &mut String, name: &str, help: &str, snapshot: &Hist
     out.push('\n');
 }
 
-/// Renders a label set as `name="value",...` with values escaped.
-pub fn render_labels(labels: &[(String, String)]) -> String {
-    labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect::<Vec<_>>()
-        .join(",")
+/// Writes counter or gauge families: one header each, then every series,
+/// a plain one without label braces.
+fn write_families<V: Display>(out: &mut String, kind: &str, families: &[FamilySnapshot<V>]) {
+    for (name, help, series) in families {
+        write_header(out, name, help, kind);
+        for (labels, value) in series {
+            out.push_str(name);
+            if !labels.as_str().is_empty() {
+                out.push('{');
+                out.push_str(labels.as_str());
+                out.push('}');
+            }
+            let _ = writeln!(out, " {value}");
+        }
+    }
 }
 
-/// Writes every metric in a [`RecorderSnapshot`]: plain counters, then
-/// labelled counter families, then gauges, then histograms, each group in
-/// name order. Labelled samples arrive pre-grouped by family (the
-/// recorder's map order), so each family gets exactly one header.
+/// Writes every metric in a [`RecorderSnapshot`] in the snapshot's order:
+/// counter families, then gauge families, then histograms.
 pub fn write_snapshot(out: &mut String, snapshot: &RecorderSnapshot) {
-    for (name, help, value) in &snapshot.counters {
-        write_counter(out, name, help, *value);
-    }
-    let mut current_family: Option<&str> = None;
-    for (name, help, labels, value) in &snapshot.labeled_counters {
-        if current_family != Some(name.as_str()) {
-            write_header(out, name, help, "counter");
-            current_family = Some(name.as_str());
-        }
-        out.push_str(name);
-        out.push('{');
-        out.push_str(&render_labels(labels));
-        out.push_str("} ");
-        out.push_str(&value.to_string());
-        out.push('\n');
-    }
-    for (name, help, value) in &snapshot.gauges {
-        write_gauge(out, name, help, *value);
-    }
+    write_families(out, "counter", &snapshot.counters);
+    write_families(out, "gauge", &snapshot.gauges);
     for (name, help, hist) in &snapshot.histograms {
         write_histogram(out, name, help, hist);
     }
@@ -138,11 +123,15 @@ pub fn write_snapshot(out: &mut String, snapshot: &RecorderSnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Histogram, Recorder};
+    use crate::metrics::{Histogram, Labels, Recorder};
 
     #[test]
     fn escapes() {
-        assert_eq!(escape_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
+        assert_eq!(
+            render_labels(&[("k", "a\\b\"c\nd"), ("j", "x")]),
+            "k=\"a\\\\b\\\"c\\nd\",j=\"x\""
+        );
+        assert_eq!(render_labels(&[]), "");
         assert_eq!(
             escape_help("multi\nline \\ with \"quotes\""),
             "multi\\nline \\\\ with \"quotes\""
@@ -151,9 +140,11 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_families() {
+        let recorder = Recorder::new();
+        recorder.counter("aarc_things_total", "Things seen.").add(7);
+        recorder.gauge("aarc_rate", "Current rate.").set(2.5);
         let mut out = String::new();
-        write_counter(&mut out, "aarc_things_total", "Things seen.", 7);
-        write_gauge(&mut out, "aarc_rate", "Current rate.", 2.5);
+        write_snapshot(&mut out, &recorder.snapshot());
         assert_eq!(
             out,
             "# HELP aarc_things_total Things seen.\n\
@@ -208,39 +199,64 @@ mod tests {
     fn labeled_counter_families_share_one_header() {
         let recorder = Recorder::new();
         recorder
-            .labeled_counter("reqs_total", "Requests.", &[("tenant", "b")])
+            .labeled_counter("reqs_total", "Requests.", &Labels::new(&[("tenant", "b")]))
             .add(2);
         recorder
-            .labeled_counter("reqs_total", "Requests.", &[("tenant", "a")])
+            .labeled_counter("reqs_total", "Requests.", &Labels::new(&[("tenant", "a")]))
             .add(1);
         recorder
             .labeled_counter(
                 "rejected_total",
                 "Rejections.",
-                &[("tenant", "a"), ("reason", "rate")],
+                &Labels::new(&[("tenant", "a"), ("reason", "rate")]),
             )
             .inc();
+        // One family holding both a plain and a labelled sample.
+        recorder
+            .labeled_counter("hits_total", "Hits.", &Labels::new(&[("tenant", "a")]))
+            .add(4);
+        recorder.counter("hits_total", "Hits.").add(5);
+        // A labelled gauge family put into the snapshot directly, as the
+        // daemon does with the values it reads at scrape time.
+        let mut snapshot = recorder.snapshot();
+        snapshot.gauges.push((
+            "live".to_owned(),
+            "Live sessions.".to_owned(),
+            vec![
+                (Labels::new(&[("tenant", "b")]), 3.0),
+                (Labels::new(&[("tenant", "a\"x")]), 0.5),
+            ],
+        ));
         let mut out = String::new();
-        write_snapshot(&mut out, &recorder.snapshot());
+        write_snapshot(&mut out, &snapshot);
         // One header per family, samples consecutive and label-sorted.
-        assert_eq!(out.matches("# TYPE reqs_total counter").count(), 1);
+        for family in ["reqs_total", "rejected_total", "live", "hits_total"] {
+            assert_eq!(out.matches(&format!("# TYPE {family} ")).count(), 1);
+            assert_eq!(out.matches(&format!("# HELP {family} ")).count(), 1);
+        }
+        assert!(out.contains("# TYPE live gauge\n"));
+        assert!(out.contains("# TYPE hits_total counter\n"));
         assert!(out.contains("reqs_total{tenant=\"a\"} 1\n"));
         assert!(out.contains("reqs_total{tenant=\"b\"} 2\n"));
         let a = out.find("reqs_total{tenant=\"a\"}").unwrap();
         let b = out.find("reqs_total{tenant=\"b\"}").unwrap();
         assert!(a < b);
         assert!(out.contains("rejected_total{tenant=\"a\",reason=\"rate\"} 1\n"));
-        // The same (name, labels) pair resolves to the same counter.
+        // Label values are escaped; a labelled gauge renders its f64.
+        assert!(out.contains("live{tenant=\"a\\\"x\"} 0.5\n"));
+        assert!(out.contains("live{tenant=\"b\"} 3\n"));
+        // The plain sample sorts first and renders without braces.
+        assert!(
+            out.contains("# TYPE hits_total counter\nhits_total 5\nhits_total{tenant=\"a\"} 4\n")
+        );
+        // The same (name, labels) pair resolves to the same instrument.
         recorder
-            .labeled_counter("reqs_total", "Requests.", &[("tenant", "a")])
+            .labeled_counter("reqs_total", "Requests.", &Labels::new(&[("tenant", "a")]))
             .inc();
         let snap = recorder.snapshot();
-        let sample = snap
-            .labeled_counters
-            .iter()
-            .find(|(n, _, l, _)| n == "reqs_total" && l[0].1 == "a")
-            .unwrap();
-        assert_eq!(sample.3, 2);
+        let (_, _, series) = snap.counters.iter().find(|f| f.0 == "reqs_total").unwrap();
+        let series: Vec<(&str, u64)> = series.iter().map(|(l, v)| (l.as_str(), *v)).collect();
+        assert_eq!(series, [("tenant=\"a\"", 2), ("tenant=\"b\"", 2)]);
     }
 
     #[test]
