@@ -5,9 +5,10 @@
 //!   batch path (cache off), at batch sizes 1, 64 and 4096: the per-job
 //!   overhead of chunking, dedup pre-pass and result merging over the raw
 //!   kernel.
-//! * `lockstep_chain` — the same candidates driven directly through a
-//!   [`BatchSim`], where each result anchors the next: the incremental
-//!   re-simulation fast path local search leans on.
+//! * `lockstep_chain` — the same candidates driven directly through one
+//!   [`BatchSim::simulate_chunk`], where each result anchors the next: the
+//!   incremental re-simulation fast path local search leans on, without the
+//!   service around it.
 //! * `event_loop_chain` — the identical chain through the event-loop
 //!   reference, the pre-round-two cost of the same work.
 
@@ -76,15 +77,14 @@ fn bench_batch(c: &mut Criterion) {
                 &candidates,
                 |b, cands| {
                     let mut scratch = SimScratch::new();
+                    let jobs: Vec<(&ConfigMap, u64)> = cands
+                        .iter()
+                        .enumerate()
+                        .map(|(i, c)| (c, i as u64))
+                        .collect();
                     b.iter(|| {
                         let mut batch = BatchSim::new(&scenario, env.input());
-                        for (i, configs) in cands.iter().enumerate() {
-                            std::hint::black_box(
-                                batch
-                                    .simulate(&mut scratch, configs, i as u64)
-                                    .expect("candidate simulates"),
-                            );
-                        }
+                        std::hint::black_box(batch.simulate_chunk(&mut scratch, &jobs));
                     });
                 },
             );

@@ -1,5 +1,5 @@
-//! Data-layout bench: isolates the two round-three changes per paper
-//! workload at batch sizes 64 and 4096.
+//! Data-layout bench: the round-three layout paths per paper workload at
+//! batch sizes 64 and 4096.
 //!
 //! * `relaxation_aos` vs `relaxation_soa` — the same candidate chain
 //!   through the event-loop reference (array-of-structs `NodeState` rows,
@@ -7,12 +7,9 @@
 //!   structure-of-arrays column tables. The gap is the layout + algorithm
 //!   win on the solo path; both mint one result slab per simulation, so
 //!   allocation is held constant.
-//! * `result_arc_per_sim` vs `result_slab_per_chunk` — the identical
-//!   anchored relaxation chain driven per-call (one `Arc<[NodeSimOutcome]>`
-//!   allocation per result) and through `simulate_chunk` (all results carve
-//!   offsets into one refcounted slab per chunk). Relaxation work is
-//!   bit-identical, so the gap is purely the allocator leaving the miss
-//!   path.
+//! * `result_slab_per_chunk` — the same chain through `simulate_chunk`:
+//!   each result anchors the next and every result is an offset into one
+//!   refcounted slab per chunk, the batch miss path's layout.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -91,24 +88,6 @@ fn bench_layout(c: &mut Criterion) {
                             std::hint::black_box(
                                 scenario
                                     .simulate(&mut scratch, configs, env.input(), i as u64)
-                                    .expect("candidate simulates"),
-                            );
-                        }
-                    });
-                },
-            );
-
-            group.bench_with_input(
-                BenchmarkId::new(format!("result_arc_per_sim/{}", workload.name()), size),
-                &candidates,
-                |b, cands| {
-                    let mut scratch = SimScratch::new();
-                    b.iter(|| {
-                        let mut batch = BatchSim::new(&scenario, env.input());
-                        for (i, configs) in cands.iter().enumerate() {
-                            std::hint::black_box(
-                                batch
-                                    .simulate(&mut scratch, configs, i as u64)
                                     .expect("candidate simulates"),
                             );
                         }

@@ -8,12 +8,12 @@
 //!    configurations (derived from the spec fingerprint, so the workload is
 //!    identical across machines and runs) evaluated at 1, 2, 4 and the
 //!    requested thread count, yielding `sims_per_sec` and `speedup` per
-//!    point on the work-stealing pool.
+//!    point on the chunked worker pool.
 //! 2. **Incremental re-simulation** — a suffix-edit probe chain (each probe
 //!    re-tunes one node of the previous candidate, the access pattern of a
-//!    local search) timed through the event-loop reference and through an
-//!    anchored [`BatchSim`] chain, yielding the incremental speedup and the
-//!    kernel's reuse counters.
+//!    local search) timed through the event-loop reference and through
+//!    [`BatchSim::simulate_chunk`], one chunk per replay of the chain,
+//!    yielding the incremental speedup and the kernel's reuse counters.
 //! 3. **Intra-batch dedup** — a duplicate-heavy batch (the shape
 //!    population-based searches produce) timed once, reporting how many
 //!    candidates the scheduler fanned out without simulating.
@@ -58,7 +58,7 @@ use crate::version::VersionInfo;
 pub const BENCH_VERSION: u32 = 6;
 
 /// One point of the thread-scaling curve: the candidate batch evaluated on
-/// a work-stealing pool of `threads` workers.
+/// a service pool of `threads` workers.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ScalingPoint {
     /// Worker threads of this point.
@@ -74,8 +74,9 @@ pub struct ScalingPoint {
 }
 
 /// The incremental re-simulation phase: a suffix-edit probe chain timed
-/// through the event-loop reference and through an anchored [`BatchSim`]
-/// chain that re-simulates only downstream of each edit.
+/// through the event-loop reference and through one
+/// [`BatchSim::simulate_chunk`] per replay, which re-simulates only
+/// downstream of each edit.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct IncrementalPhase {
     /// Probes in the chain (each edits one node of its predecessor).
@@ -89,8 +90,9 @@ pub struct IncrementalPhase {
     pub incremental_wall_ms: f64,
     /// `full_wall_ms / incremental_wall_ms`.
     pub speedup: f64,
-    /// Probes served incrementally off an anchor (0 when the scenario is
-    /// not exactness-eligible, e.g. runtime jitter is configured).
+    /// Probes served incrementally off an anchor: all but the first probe
+    /// of each replay, `rounds * (probes - 1)` (0 when the scenario is not
+    /// exactness-eligible, e.g. runtime jitter is configured).
     pub incremental_sims: u64,
     /// Node outcomes copied from an anchor instead of recomputed.
     pub nodes_reused: u64,
@@ -116,7 +118,7 @@ pub struct DedupPhase {
 
 /// The allocation phase: result-slab heap behaviour of the batch miss
 /// path, read from the round-three kernel counters after a cache-less
-/// single-thread batch. One slab is minted per work-stealing chunk, so a
+/// single-thread batch. One slab is minted per scheduler chunk, so a
 /// healthy batch path sits far below one allocation per simulation.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AllocPhase {
@@ -370,7 +372,7 @@ fn time_scaling(
 }
 
 /// Times a suffix-edit probe chain twice: full event-loop re-simulation of
-/// every probe versus an anchored incremental chain. Both walk the same
+/// every probe versus one incremental chunk per replay. Both walk the same
 /// deterministic chain (derived from the spec fingerprint), so the phase
 /// isolates the re-simulation strategy, nothing else.
 fn time_incremental(
@@ -437,15 +439,16 @@ fn time_incremental(
     // stays the denominator they are read against.
     let before = scratch.counters();
     let mut after = before;
+    // One chunk per replay: its first probe is a full relaxation and every
+    // later probe edits its predecessor's outcome in place.
+    let jobs: Vec<(&ConfigMap, u64)> = chain.iter().map(|c| (c, seed)).collect();
     let mut batch_sim = BatchSim::new(&compiled, input);
     let mut incremental_wall_ms = f64::INFINITY;
     for pass in 0..passes {
         let start = Instant::now();
         for _ in 0..rounds {
-            for c in &chain {
-                batch_sim
-                    .simulate(&mut scratch, c, seed)
-                    .map_err(|e| format!("incremental simulation failed: {e}"))?;
+            for result in batch_sim.simulate_chunk(&mut scratch, &jobs) {
+                result.map_err(|e| format!("incremental simulation failed: {e}"))?;
             }
         }
         incremental_wall_ms = incremental_wall_ms.min(start.elapsed().as_secs_f64() * 1_000.0);
@@ -900,9 +903,11 @@ mod tests {
             .incremental_resim
             .expect("incremental phase is always run");
         assert_eq!(inc.probes, 32);
-        assert!(
-            inc.incremental_sims > 0,
-            "jitter-free synthetic spec must be exactness-eligible"
+        assert_eq!(
+            inc.incremental_sims,
+            inc.rounds * (inc.probes - 1),
+            "jitter-free synthetic spec must be exactness-eligible, and each \
+             replay's chunk re-simulates all but its first probe incrementally"
         );
         assert!(
             inc.nodes_reused > 0,

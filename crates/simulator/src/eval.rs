@@ -15,11 +15,12 @@
 //! expensive, shareable resources are owned once per process by the
 //! service:
 //!
-//! * a **deterministic fork-join worker pool** (`std::thread::scope`) that
-//!   evaluates batches of candidates in parallel. Each candidate's RNG seed
-//!   is derived from its *batch index* (see [`derive_seed`]), never from the
-//!   thread that happens to run it, so results are bit-identical regardless
-//!   of the thread count;
+//! * a **deterministic chunked worker pool** that evaluates batches of
+//!   candidates in parallel: the submitting thread and `threads - 1` scoped
+//!   helpers claim fixed-width chunks of a batch from one shared counter.
+//!   Each candidate's RNG seed is derived from its *batch index* (see
+//!   [`derive_seed`]), never from the thread that happens to run it, so
+//!   results are bit-identical regardless of the thread count;
 //! * a **sharded memo-cache** keyed by `(scenario fingerprint,
 //!   configuration, input bucket, seed)` that short-circuits repeated
 //!   simulations. Keys carry the scenario fingerprint, so any number of
@@ -40,10 +41,10 @@
 //! [`EvalService::stats_snapshot`] gives a pollable service-wide view.
 //!
 //! Cache bookkeeping (lookup, hit/miss accounting, insertion, eviction)
-//! always happens on the submitting thread in candidate order; worker
-//! threads only ever run the pure simulation. This keeps the statistics —
-//! and therefore any report that embeds them — identical for `--threads 1`
-//! and `--threads 8`.
+//! always happens on the submitting thread in candidate order, before and
+//! after the worker loop; the worker loop only ever runs the pure
+//! simulation. This keeps the statistics — and therefore any report that
+//! embeds them — identical for `--threads 1` and `--threads 8`.
 //!
 //! Both the cache and the searchers traffic in the lean [`SimResult`] —
 //! cache hits clone an `Arc`, not a report full of `String`s. The full
@@ -54,7 +55,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -85,7 +86,9 @@ pub fn fnv1a_64(bytes: impl IntoIterator<Item = u8>) -> u64 {
 }
 
 /// Derives the RNG seed of the candidate at `index` within a batch from the
-/// scenario's base seed (SplitMix64 finalizer over `base ^ index`).
+/// scenario's base seed (SplitMix64 finalizer over
+/// `base + φ + index · 0xBF58476D1CE4E5B9`, where φ is the 64-bit golden
+/// ratio constant, all wrapping).
 ///
 /// Seeds depend only on the *position* of a candidate, never on the worker
 /// thread that evaluates it or on any shared RNG stream, which is what
@@ -340,7 +343,7 @@ impl EvalTelemetry {
     }
 }
 
-/// The process-wide evaluation substrate: the deterministic work-stealing
+/// The process-wide evaluation substrate: the deterministic chunked
 /// worker pool, the sharded fingerprint-keyed memo-cache and the
 /// [`SimScratch`] arena pool, shared by every scenario registered on it.
 ///
@@ -446,11 +449,6 @@ impl EvalService {
             threads,
             ..EvalOptions::default()
         })
-    }
-
-    /// The service's options (pool width and shared cache capacity).
-    pub fn options(&self) -> EvalOptions {
-        self.options
     }
 
     /// Worker threads used for batch evaluation.
@@ -714,7 +712,8 @@ impl EvalService {
         let mut results: Vec<Option<SimResult>> = vec![None; n];
         // Sequential cache pre-pass in candidate order: resolve hits, claim
         // the first occurrence of every distinct missing key and remember
-        // intra-batch duplicates. Counting duplicates as hits matches the
+        // intra-batch duplicates, each against its first occurrence's
+        // candidate index. Counting duplicates as hits matches the
         // sequential (1-thread) semantics exactly.
         let mut claimed: HashMap<CacheKey, usize> = HashMap::new();
         let mut pending: Vec<(usize, CacheKey, u64)> = Vec::new();
@@ -727,17 +726,18 @@ impl EvalService {
                 data.counters.hits.fetch_add(1, Ordering::Relaxed);
                 batch_hits += 1;
                 results[i] = Some(report);
-            } else if let Some(&p) = claimed.get(&key) {
+            } else if let Some(&first) = claimed.get(&key) {
                 data.counters.hits.fetch_add(1, Ordering::Relaxed);
                 data.counters.batch_dedup.fetch_add(1, Ordering::Relaxed);
                 batch_hits += 1;
-                duplicates.push((i, p));
+                duplicates.push((i, first));
             } else {
                 data.counters.misses.fetch_add(1, Ordering::Relaxed);
-                claimed.insert(key.clone(), pending.len());
+                claimed.insert(key.clone(), i);
                 pending.push((i, key, seed));
             }
         }
+        let misses = pending.len();
 
         // Simulate all distinct misses on the worker pool.
         let sim_start = telemetry.map(|_| Instant::now());
@@ -745,18 +745,16 @@ impl EvalService {
         let sim_ns = sim_start.map_or(0, |s| s.elapsed().as_nanos().min(u64::MAX as u128) as u64);
 
         // Insert in candidate order (deterministic eviction), then resolve
-        // duplicates from the freshly computed results.
+        // duplicates from their first occurrences.
         let mut evicted = 0usize;
-        let mut fresh: Vec<Option<SimResult>> = Vec::with_capacity(pending.len());
-        for ((i, key, _seed), outcome) in pending.iter().zip(computed) {
+        for ((i, key, _seed), outcome) in pending.into_iter().zip(computed) {
             let report = outcome?;
-            evicted += self.cache_insert(data, key.clone(), report.clone());
-            results[*i] = Some(report.clone());
-            fresh.push(Some(report));
+            evicted += self.cache_insert(data, key, report.clone());
+            results[i] = Some(report);
         }
         let dedup_hits = duplicates.len() as u64;
-        for (i, p) in duplicates {
-            results[i] = fresh[p].clone();
+        for (i, first) in duplicates {
+            results[i] = results[first].clone();
         }
 
         if let (Some(telemetry), Some(start)) = (telemetry, batch_start) {
@@ -766,10 +764,10 @@ impl EvalService {
             telemetry
                 .queue_wait_seconds
                 .record_ns(total_ns.saturating_sub(sim_ns));
-            if sim_ns > 0 && !pending.is_empty() {
+            if sim_ns > 0 && misses > 0 {
                 telemetry
                     .sims_per_sec
-                    .set(pending.len() as f64 / (sim_ns as f64 / 1e9));
+                    .set(misses as f64 / (sim_ns as f64 / 1e9));
             }
             telemetry.flight.record(
                 "eval_batch",
@@ -781,7 +779,7 @@ impl EvalService {
                     ("candidates", FieldValue::U64(n as u64)),
                     ("hits", FieldValue::U64(batch_hits)),
                     ("dedup", FieldValue::U64(dedup_hits)),
-                    ("misses", FieldValue::U64(pending.len() as u64)),
+                    ("misses", FieldValue::U64(misses as u64)),
                     ("evictions", FieldValue::U64(evicted as u64)),
                     (
                         "queue_us",
@@ -851,61 +849,26 @@ impl EvalService {
     /// of pending jobs — never of the thread count — so chunk boundaries,
     /// and with them each chunk's fresh incremental-anchor chain and the
     /// kernel-counter stream, are identical at every pool width. `/64`
-    /// yields enough chunks for stealing to even out stragglers on large
-    /// batches; the 8..=512 clamp bounds per-chunk scheduling overhead on
-    /// small ones and tail latency on huge ones.
+    /// yields enough chunks for the workers' shared claim counter to even
+    /// out stragglers on large batches; the 8..=512 clamp bounds per-chunk
+    /// scheduling overhead on small ones and tail latency on huge ones.
     fn batch_chunk_size(jobs: usize) -> usize {
         (jobs / 64).clamp(8, 512)
-    }
-
-    /// Pops the next chunk index for worker `w`: the front of its own
-    /// deque, else a steal from the back of the longest other deque.
-    /// Workers never generate new chunks, so `None` (every deque observed
-    /// empty and no steal landed) means the batch is drained.
-    fn next_chunk(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-        if let Some(c) = queues[w].lock().expect("work queue poisoned").pop_front() {
-            return Some(c);
-        }
-        loop {
-            let mut victim = None;
-            let mut victim_len = 0;
-            for (v, queue) in queues.iter().enumerate() {
-                if v == w {
-                    continue;
-                }
-                let len = queue.lock().expect("work queue poisoned").len();
-                if len > victim_len {
-                    victim = Some(v);
-                    victim_len = len;
-                }
-            }
-            let victim = victim?;
-            if let Some(c) = queues[victim]
-                .lock()
-                .expect("work queue poisoned")
-                .pop_back()
-            {
-                return Some(c);
-            }
-            // Raced with the victim draining its own deque — rescan.
-        }
     }
 
     /// Runs the distinct misses of a batch on the worker pool, returning
     /// outcomes in `pending` order.
     ///
     /// The batch is cut into fixed-width chunks
-    /// ([`batch_chunk_size`](Self::batch_chunk_size)), dealt round-robin
-    /// onto per-worker deques; a worker drains its own deque from the
-    /// front and steals from the back of the longest other deque when
-    /// empty, so a straggler chunk never idles the rest of the pool the
-    /// way the old fork-join static split did. Each worker runs one
-    /// [`BatchSim`] and one scratch arena for its whole share; every chunk
-    /// starts a fresh incremental-anchor chain and carries positional
-    /// seeds, so *which* worker runs a chunk — and any stealing order — is
-    /// invisible in the results: streams are bit-identical at every thread
-    /// count. With one worker (or one chunk) everything runs on the
-    /// calling thread through the same chunking.
+    /// ([`batch_chunk_size`](Self::batch_chunk_size)). The submitting
+    /// thread and `threads - 1` scoped helpers run one worker loop each:
+    /// claim the next chunk index from a shared counter, simulate it
+    /// through the worker's [`BatchSim`] and scratch arena, and repeat until
+    /// no chunk is left, so a straggler chunk never idles the rest of the
+    /// pool. A one-thread service, or a one-chunk batch, spawns nothing.
+    /// Every chunk starts a fresh incremental-anchor chain and carries
+    /// positional seeds, so *which* worker claims a chunk is invisible in
+    /// the results: streams are bit-identical at every thread count.
     fn run_pool(
         &self,
         data: &ScenarioData,
@@ -918,57 +881,39 @@ impl EvalService {
         }
         let chunk = Self::batch_chunk_size(pending.len());
         let chunk_count = pending.len().div_ceil(chunk);
-        let threads = self.options.threads.min(chunk_count).max(1);
-        if threads <= 1 {
+        // `Relaxed` suffices: the counter only hands out chunk indices and
+        // publishes no data; `pending` and `candidates` are read-only, and
+        // the scope's spawns and joins order every other access.
+        let next_chunk = AtomicUsize::new(0);
+        let worker = || {
             let mut scratch = self.take_scratch();
             let mut batch = BatchSim::new(&data.scenario, input);
-            let mut results = Vec::with_capacity(pending.len());
+            let mut done: Vec<(usize, Vec<Result<SimResult, SimulatorError>>)> = Vec::new();
             let mut job_list: Vec<(&ConfigMap, u64)> = Vec::with_capacity(chunk);
-            for jobs in pending.chunks(chunk) {
+            loop {
+                let c = next_chunk.fetch_add(1, Ordering::Relaxed);
+                if c >= chunk_count {
+                    break;
+                }
+                let jobs = &pending[c * chunk..pending.len().min((c + 1) * chunk)];
                 job_list.clear();
                 job_list.extend(jobs.iter().map(|(i, _, seed)| (&candidates[*i], *seed)));
-                results.extend(batch.simulate_chunk(&mut scratch, &job_list));
+                done.push((c, batch.simulate_chunk(&mut scratch, &job_list)));
             }
             self.put_scratch(scratch);
-            return results;
-        }
-
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for c in 0..chunk_count {
-            queues[c % threads]
-                .lock()
-                .expect("work queue poisoned")
-                .push_back(c);
-        }
+            done
+        };
+        let threads = self.options.threads.min(chunk_count);
         let mut slots: Vec<Option<Vec<Result<SimResult, SimulatorError>>>> = Vec::new();
         slots.resize_with(chunk_count, || None);
         std::thread::scope(|scope| {
-            let queues = &queues;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut scratch = self.take_scratch();
-                        let mut batch = BatchSim::new(&data.scenario, input);
-                        let mut done: Vec<(usize, Vec<Result<SimResult, SimulatorError>>)> =
-                            Vec::new();
-                        let mut job_list: Vec<(&ConfigMap, u64)> = Vec::with_capacity(chunk);
-                        while let Some(c) = Self::next_chunk(queues, w) {
-                            let jobs = &pending[c * chunk..pending.len().min((c + 1) * chunk)];
-                            job_list.clear();
-                            job_list
-                                .extend(jobs.iter().map(|(i, _, seed)| (&candidates[*i], *seed)));
-                            done.push((c, batch.simulate_chunk(&mut scratch, &job_list)));
-                        }
-                        self.put_scratch(scratch);
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (c, results) in handle.join().expect("evaluation worker panicked") {
-                    slots[c] = Some(results);
-                }
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let own = worker();
+            let joined = helpers
+                .into_iter()
+                .flat_map(|helper| helper.join().expect("evaluation worker panicked"));
+            for (c, results) in own.into_iter().chain(joined) {
+                slots[c] = Some(results);
             }
         });
         slots
@@ -1076,11 +1021,6 @@ pub struct ScenarioHandle<'s> {
 }
 
 impl<'s> ScenarioHandle<'s> {
-    /// The service this handle submits through.
-    pub fn service(&self) -> &'s EvalService {
-        self.service
-    }
-
     /// The wrapped environment (workflow, profiles, space, pricing, ...).
     pub fn env(&self) -> &WorkflowEnvironment {
         &self.data.env

@@ -52,8 +52,9 @@
 //! ([`CompiledScenario::try_incremental`]: reuse an anchor's timeline for
 //! every node not downstream of a config change — the searchers'
 //! `PathConfigState` probes touch one path suffix at a time) and
-//! [`BatchSim`], which chains candidates of one batch so each result
-//! anchors the next and the per-edge transfer table is computed once.
+//! [`BatchSim::simulate_chunk`], the one chained path: it runs one
+//! scheduler chunk so each result anchors the next, with the per-edge
+//! transfer table computed once per batch.
 //!
 //! # Round three: data layout
 //!
@@ -86,7 +87,6 @@
 //!   wall-clock.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -436,16 +436,7 @@ pub struct SimScratch {
     // large enough to make glibc trim the heap top every batch, and the
     // page-fault churn of re-growing it dominated the sequential path.
     slab_pool: Vec<Arc<[NodeSimOutcome]>>,
-    // Chain-token state: `id` names this scratch (lazily drawn from
-    // `NEXT_SCRATCH_ID`, 0 = unnamed), `cols_epoch` counts column
-    // rewrites. Together they let a `BatchSim` prove its anchor's outcome
-    // still sits in `cols` and skip the AoS→SoA reload on chained calls.
-    id: u64,
-    cols_epoch: u64,
 }
-
-/// Source of fresh [`SimScratch::id`] values; 0 is reserved for "unnamed".
-static NEXT_SCRATCH_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Retired-slab slots a scratch keeps for recycling. Covers the in-flight
 /// chunk count of the largest batches the scheduler produces (chunk sizing
@@ -458,8 +449,9 @@ const SLAB_POOL_CAP: usize = 128;
 /// Plain integer adds on thread-local state — no clocks, no atomics — so
 /// they are always on; they cost nothing measurable against the event
 /// loop. Counters accumulate across runs (they are *not* cleared by the
-/// per-run reset) and are drained with [`SimScratch::take_counters`] when
-/// telemetry is attached.
+/// per-run reset) until [`SimScratch::take_counters`] drains them; the
+/// [`EvalService`](crate::eval::EvalService) drains every scratch it
+/// returns to its pool, whether or not telemetry is attached.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Completed simulations.
@@ -537,18 +529,6 @@ impl SimScratch {
     /// Reads the accumulated kernel counters without resetting them.
     pub fn counters(&self) -> KernelCounters {
         self.counters
-    }
-
-    /// Identifies the current contents of the outcome columns: `(scratch
-    /// identity, relaxation epoch)`. Every [`CompiledScenario::relax_cols`]
-    /// run bumps the epoch, so a [`BatchSim`] that recorded the token when
-    /// it minted its anchor can later prove the columns still hold exactly
-    /// that result — and skip reloading them from the anchor slab.
-    fn chain_token(&mut self) -> (u64, u64) {
-        if self.id == 0 {
-            self.id = NEXT_SCRATCH_ID.fetch_add(1, Ordering::Relaxed);
-        }
-        (self.id, self.cols_epoch)
     }
 
     /// Prepares the scratch for one run of `scenario`, reusing every
@@ -891,8 +871,8 @@ impl CompiledScenario {
     /// different input, or `configs` invalid (the caller's fallback to
     /// `simulate` then reproduces the validation error). `anchor_result`
     /// must be the result of simulating `anchor_configs` against *this*
-    /// scenario — the caller owns that pairing; [`BatchSim`] maintains it
-    /// automatically.
+    /// scenario — the caller owns that pairing; within a chunk
+    /// [`BatchSim::simulate_chunk`] maintains it automatically.
     pub fn try_incremental(
         &self,
         scratch: &mut SimScratch,
@@ -1017,7 +997,6 @@ impl CompiledScenario {
         edit: Option<&[ResourceConfig]>,
     ) -> RelaxSummary {
         let n = self.n;
-        scratch.cols_epoch += 1;
         let SimScratch {
             cols,
             changed,
@@ -1471,16 +1450,16 @@ impl CompiledScenario {
     }
 }
 
-/// Lockstep batch driver: simulates a stream of candidates against one
-/// [`CompiledScenario`] and one input, sharing the per-pred-edge transfer
-/// table across the whole batch and chaining each exact result as the
-/// incremental anchor for the next candidate — so a run of suffix-edit
-/// probes re-simulates only the nodes downstream of each edit.
+/// Lockstep batch simulator: runs scheduler chunks of candidates against
+/// one [`CompiledScenario`] and one input, sharing the per-pred-edge
+/// transfer table across the whole batch and chaining each exact result as
+/// the incremental anchor for the next candidate of its chunk — so a run of
+/// suffix-edit probes re-simulates only the nodes downstream of each edit.
 ///
 /// Every candidate flows through the cheapest applicable path —
 /// incremental relaxation off the previous result, full relaxation, or the
 /// reference event loop when exactness can't be proven — and every path is
-/// bit-identical, so a `BatchSim` stream equals a
+/// bit-identical, so a chunk's results equal a
 /// [`CompiledScenario::simulate`] stream result-for-result regardless of
 /// how a batch is chunked across workers.
 #[derive(Debug)]
@@ -1488,12 +1467,9 @@ pub struct BatchSim<'a> {
     scenario: &'a CompiledScenario,
     input: InputSpec,
     transfer_ms: Vec<f64>,
+    /// The previous exact candidate's configuration: the anchor the next
+    /// candidate of the chunk edits. Kept here so chunks reuse the buffer.
     anchor_configs: Vec<ResourceConfig>,
-    anchor: Option<SimResult>,
-    /// Chain token recorded when `anchor` was minted: while the scratch
-    /// passed to the next call still matches, its columns provably hold
-    /// the anchor's outcome and the AoS->SoA reload is skipped.
-    anchor_cols: Option<(u64, u64)>,
 }
 
 impl<'a> BatchSim<'a> {
@@ -1507,98 +1483,7 @@ impl<'a> BatchSim<'a> {
             input,
             transfer_ms,
             anchor_configs: Vec::new(),
-            anchor: None,
-            anchor_cols: None,
         }
-    }
-
-    /// The scenario this batch runs against.
-    pub fn scenario(&self) -> &CompiledScenario {
-        self.scenario
-    }
-
-    /// Drops the incremental anchor: the next candidate simulates from
-    /// scratch. The batch scheduler calls this at chunk boundaries so the
-    /// kernel-counter stream is independent of how a batch is split across
-    /// workers (chunk boundaries depend only on batch length).
-    pub fn clear_anchor(&mut self) {
-        self.anchor = None;
-        self.anchor_configs.clear();
-        self.anchor_cols = None;
-    }
-
-    /// Seeds the incremental anchor from an already-computed result — e.g.
-    /// a search session's previous probe. Ignored (anchor cleared) unless
-    /// the pairing is eligible for exact incremental reuse. `result` must
-    /// be the result of simulating `configs` against this batch's scenario.
-    pub fn set_anchor(&mut self, configs: &ConfigMap, result: &SimResult) {
-        if result.len() == self.scenario.n
-            && result.input() == self.input
-            && self.scenario.relaxation_exact(configs)
-        {
-            self.anchor_configs.clear();
-            self.anchor_configs.extend_from_slice(configs.as_slice());
-            self.anchor = Some(result.clone());
-            // Externally-minted result: the columns' contents are unknown.
-            self.anchor_cols = None;
-        } else {
-            self.clear_anchor();
-        }
-    }
-
-    /// Simulates one candidate through the cheapest exact path, updating
-    /// the anchor for the next call. Each result mints its own slab; the
-    /// batch scheduler's hot path is [`BatchSim::simulate_chunk`], which
-    /// amortises that allocation across a whole chunk.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CompiledScenario::simulate`].
-    pub fn simulate(
-        &mut self,
-        scratch: &mut SimScratch,
-        configs: &ConfigMap,
-        seed: u64,
-    ) -> Result<SimResult, SimulatorError> {
-        if self.scenario.relaxation_exact(configs) {
-            self.scenario.validate(configs)?;
-            scratch.rows.clear();
-            let summary = match self.anchor.as_ref() {
-                Some(anchor_result) => {
-                    // Chained call with the same scratch: the columns
-                    // already hold the anchor's outcome.
-                    if self.anchor_cols != Some(scratch.chain_token()) {
-                        scratch.cols.load(anchor_result.executions());
-                    }
-                    self.scenario.relax_cols(
-                        scratch,
-                        configs.as_slice(),
-                        self.input,
-                        &self.transfer_ms,
-                        Some(self.anchor_configs.as_slice()),
-                    )
-                }
-                None => self.scenario.relax_cols(
-                    scratch,
-                    configs.as_slice(),
-                    self.input,
-                    &self.transfer_ms,
-                    None,
-                ),
-            };
-            let result = scratch.mint_staged(summary, self.input, seed);
-            self.anchor_configs.clear();
-            self.anchor_configs.extend_from_slice(configs.as_slice());
-            self.anchor = Some(result.clone());
-            self.anchor_cols = Some(scratch.chain_token());
-            return Ok(result);
-        }
-        // Exactness can't be proven for this candidate: take the event loop
-        // and drop the anchor — a successor could not reuse a potentially
-        // stall-contaminated timeline anyway.
-        self.clear_anchor();
-        self.scenario
-            .simulate_reference(scratch, configs, self.input, seed)
     }
 
     /// Simulates one scheduler chunk of candidates, chaining each exact
@@ -1608,18 +1493,17 @@ impl<'a> BatchSim<'a> {
     /// `Arc<[NodeSimOutcome]>` allocation — the batch miss path performs
     /// one result-slab heap allocation per chunk, not per simulation.
     ///
-    /// Starts from a cleared anchor (chunk boundaries reset the chain so
-    /// the result and counter streams depend only on how the batch is
-    /// chunked, never on which worker runs a chunk) and leaves the anchor
-    /// cleared on return. Per-candidate errors come back in the returned
-    /// vector in job order, exactly as a per-candidate
-    /// [`BatchSim::simulate`] loop would produce them.
+    /// Every chunk starts a fresh chain (its first exact candidate is a
+    /// full relaxation), so the result and counter streams depend only on
+    /// how the batch is chunked, never on which worker runs a chunk.
+    /// Per-candidate errors come back in the returned vector in job order,
+    /// exactly as per-candidate [`CompiledScenario::simulate`] calls would
+    /// produce them.
     pub fn simulate_chunk(
         &mut self,
         scratch: &mut SimScratch,
         jobs: &[(&ConfigMap, u64)],
     ) -> Vec<Result<SimResult, SimulatorError>> {
-        self.clear_anchor();
         if jobs.is_empty() {
             return Vec::new();
         }
@@ -1633,7 +1517,7 @@ impl<'a> BatchSim<'a> {
             if self.scenario.relaxation_exact(configs) {
                 if let Err(err) = self.scenario.validate(configs) {
                     // Anchor untouched: the next candidate still chains off
-                    // the last successful one, as the per-call loop did.
+                    // the last successful one.
                     staged.push(Err(err));
                     continue;
                 }
@@ -1657,7 +1541,6 @@ impl<'a> BatchSim<'a> {
                 // not reuse a potentially stall-contaminated timeline) but
                 // keep staging into the shared chunk arena.
                 chained = false;
-                self.anchor_configs.clear();
                 match self.scenario.run(scratch, configs, self.input, seed, None) {
                     Err(err) => staged.push(Err(err)),
                     Ok(()) => {
@@ -1918,34 +1801,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_sim_stream_matches_individual_simulation() {
-        let scenario = compiled(0.0);
-        let mut scratch = SimScratch::new();
-        let mut batch = BatchSim::new(&scenario, InputSpec::nominal());
-        let candidates = [
-            ConfigMap::uniform(3, ResourceConfig::new(1.0, 512)),
-            ConfigMap::uniform(3, ResourceConfig::new(1.0, 128)),
-            // Sum 120 vCPU > 96: stall risk, falls back to the event loop.
-            ConfigMap::uniform(3, ResourceConfig::new(40.0, 4_096)),
-            ConfigMap::uniform(3, ResourceConfig::new(2.0, 1_024)),
-        ];
-        for (k, configs) in candidates.iter().enumerate() {
-            let chained = batch.simulate(&mut scratch, configs, k as u64).unwrap();
-            let solo = scenario
-                .simulate(
-                    &mut SimScratch::new(),
-                    configs,
-                    InputSpec::nominal(),
-                    k as u64,
-                )
-                .unwrap();
-            assert_eq!(chained, solo);
-        }
-        assert!(scratch.counters().incremental_sims > 0);
-    }
-
-    #[test]
-    fn chunked_stream_matches_per_call_simulation_with_one_slab_alloc() {
+    fn chunk_matches_solo_simulation_with_one_slab_alloc() {
         let scenario = compiled(0.0);
         let candidates = [
             ConfigMap::uniform(3, ResourceConfig::new(1.0, 512)),
@@ -1960,39 +1816,36 @@ mod tests {
             .map(|(k, c)| (c, k as u64))
             .collect();
 
-        let mut chunk_scratch = SimScratch::new();
-        let mut chunk_batch = BatchSim::new(&scenario, InputSpec::nominal());
-        let chunked = chunk_batch.simulate_chunk(&mut chunk_scratch, &jobs);
-
-        let mut solo_scratch = SimScratch::new();
-        let mut solo_batch = BatchSim::new(&scenario, InputSpec::nominal());
+        let mut scratch = SimScratch::new();
+        let mut batch = BatchSim::new(&scenario, InputSpec::nominal());
+        let chunked = batch.simulate_chunk(&mut scratch, &jobs);
         for (k, configs) in candidates.iter().enumerate() {
-            let solo = solo_batch
-                .simulate(&mut solo_scratch, configs, k as u64)
+            let solo = scenario
+                .simulate(
+                    &mut SimScratch::new(),
+                    configs,
+                    InputSpec::nominal(),
+                    k as u64,
+                )
                 .unwrap();
             assert_eq!(chunked[k].as_ref().unwrap(), &solo);
         }
 
-        // One arena allocation carried the whole chunk out. The per-call
-        // loop mints one slab per result, but the scratch recycles a
-        // retired slab as soon as the anchor moves past it and the caller
-        // drops the result — so only the first two solo results (the ones
-        // pinned as anchor or return value when the next freeze runs)
-        // allocated fresh. Everything else — the per-path simulation split
-        // included — is identical.
-        let a = chunk_scratch.take_counters();
-        let b = solo_scratch.take_counters();
-        assert_eq!(a.result_slab_allocs, 1, "one slab per chunk");
-        assert_eq!(b.result_slab_allocs, 2, "solo slabs recycle once retired");
+        // One arena allocation carried the whole chunk out. The chain ran a
+        // full relaxation, one incremental edit off it, the event loop
+        // (which breaks the chain) and a fresh full relaxation.
+        let counters = scratch.take_counters();
+        assert_eq!(counters.result_slab_allocs, 1, "one slab per chunk");
         let row = std::mem::size_of::<NodeSimOutcome>() as u64;
-        assert_eq!(a.result_slab_bytes, a.sims * 3 * row);
-        assert_eq!(b.result_slab_bytes, 2 * 3 * row);
-        assert_eq!(a.sims, b.sims);
-        assert_eq!(a.relaxed_sims, b.relaxed_sims);
-        assert_eq!(a.incremental_sims, b.incremental_sims);
-        assert_eq!(a.nodes_reused, b.nodes_reused);
-        assert!(a.allocs_per_sim() < b.allocs_per_sim());
-        assert!(a.bytes_per_sim() > 0.0);
+        assert_eq!(counters.result_slab_bytes, 4 * 3 * row);
+        assert_eq!(
+            (
+                counters.sims,
+                counters.relaxed_sims,
+                counters.incremental_sims
+            ),
+            (4, 2, 1)
+        );
     }
 
     #[test]
@@ -2046,8 +1899,8 @@ mod tests {
                 node: NodeId::new(0)
             }
         );
-        // The candidate after the failure still simulates correctly (from
-        // a cleared anchor, exactly as the per-call loop would).
+        // The candidate after the failure still simulates correctly (the
+        // failed candidate took the event loop, so the chain restarts).
         let solo = scenario
             .simulate(&mut SimScratch::new(), &good, InputSpec::nominal(), 2)
             .unwrap();

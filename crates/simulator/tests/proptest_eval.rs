@@ -1,4 +1,4 @@
-//! Batch-scheduler invariance property tests: the work-stealing pool must
+//! Batch-scheduler invariance property tests: the chunked worker pool must
 //! be invisible in every observable. For any candidate mix — duplicates
 //! included, jitter on or off, memo-cache on or off — the result stream,
 //! the cache statistics, the intra-batch dedup count and even the kernel's

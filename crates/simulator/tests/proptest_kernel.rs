@@ -232,9 +232,13 @@ proptest! {
         }
     }
 
-    /// A `BatchSim` chain (each result anchoring the next candidate) equals
-    /// per-candidate `simulate` calls result-for-result, at every jitter and
-    /// any edit distance between consecutive candidates.
+    /// One `simulate_chunk` over an edit chain (each result anchoring the
+    /// next candidate) equals per-candidate `simulate` calls
+    /// result-for-result, at any edit distance between consecutive
+    /// candidates, on a jitter-free testbed (every probe after the first is
+    /// incremental), a jittered one (every probe takes the event loop) and
+    /// a shrunk 24-vCPU host where candidates at stall risk take the event
+    /// loop and break the chain.
     #[test]
     fn batch_sim_chain_matches_individual_simulates(
         case in arb_case(),
@@ -243,8 +247,21 @@ proptest! {
             1..8,
         ),
         seed in 0u64..u64::MAX,
+        mode in 0u8..3,
     ) {
-        let env = &case.env;
+        let case_cluster = *case.env.cluster();
+        let cluster = match mode {
+            0 => ClusterSpec { runtime_jitter: 0.0, ..case_cluster },
+            1 => case_cluster,
+            _ => ClusterSpec { runtime_jitter: 0.0, vcpus_per_host: 24.0, ..case_cluster },
+        };
+        let env = WorkflowEnvironment::builder(
+            case.env.workflow().clone(),
+            case.env.profiles().clone(),
+        )
+        .cluster(cluster)
+        .build()
+        .unwrap();
         let n = env.workflow().len();
         let compiled = CompiledScenario::compile(
             env.workflow(),
@@ -254,22 +271,40 @@ proptest! {
         )
         .unwrap();
         let space = ResourceSpace::paper();
-        let mut scratch = SimScratch::new();
-        let mut batch = BatchSim::new(&compiled, env.input());
         let mut configs = case.configs.clone();
-        for (k, edits) in edit_seq.into_iter().enumerate() {
+        let mut chain = Vec::with_capacity(edit_seq.len());
+        for edits in edit_seq {
             for (node, v, m) in edits {
                 configs.set(
                     NodeId::new(node % n),
                     ResourceConfig::new(space.snap_vcpu(v), space.snap_memory(m)),
                 );
             }
-            let candidate_seed = seed.wrapping_add(k as u64);
-            let chained = batch.simulate(&mut scratch, &configs, candidate_seed).unwrap();
+            chain.push(configs.clone());
+        }
+        let jobs: Vec<(&ConfigMap, u64)> = chain
+            .iter()
+            .enumerate()
+            .map(|(k, c)| (c, seed.wrapping_add(k as u64)))
+            .collect();
+
+        let mut scratch = SimScratch::new();
+        let chunked = BatchSim::new(&compiled, env.input()).simulate_chunk(&mut scratch, &jobs);
+        prop_assert_eq!(chunked.len(), jobs.len());
+        for (&(configs, candidate_seed), chained) in jobs.iter().zip(&chunked) {
             let solo = compiled
-                .simulate(&mut SimScratch::new(), &configs, env.input(), candidate_seed)
+                .simulate(&mut SimScratch::new(), configs, env.input(), candidate_seed)
                 .unwrap();
-            prop_assert_eq!(&chained, &solo);
+            prop_assert_eq!(chained.as_ref().unwrap(), &solo);
+        }
+        let counters = scratch.counters();
+        prop_assert_eq!(counters.sims, jobs.len() as u64);
+        prop_assert_eq!(counters.result_slab_allocs, 1);
+        if mode == 0 {
+            // Paper-space candidates on the paper testbed never stall
+            // (7 × 10 vCPU < 96), so the chain never breaks.
+            prop_assert_eq!(counters.relaxed_sims, 1);
+            prop_assert_eq!(counters.incremental_sims, jobs.len() as u64 - 1);
         }
     }
 
