@@ -13,7 +13,9 @@
 //! * responses are always `Connection: close`: one request per
 //!   connection, which every HTTP client (curl included) handles and
 //!   which keeps the daemon free of keep-alive bookkeeping; responses may
-//!   carry extra headers (`Retry-After`, `Deprecation`, ...);
+//!   carry extra headers (`Retry-After`, `Deprecation`, ...). A body is
+//!   sized by `Content-Length`, or close-delimited when the daemon streams
+//!   it (`/metrics`) — the client then reads it to EOF;
 //! * hard caps on header block (16 KiB) and body (8 MiB) so a misbehaving
 //!   client cannot balloon daemon memory.
 
@@ -234,13 +236,32 @@ impl Response {
     /// Propagates I/O errors (the peer may already be gone; callers
     /// typically ignore the failure and drop the connection).
     pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+        self.write_head(stream, Some(self.body.len()))?;
+        stream.write_all(self.body.as_bytes())?;
+        stream.flush()
+    }
+
+    /// Writes the status line and headers, ending with the blank line. With
+    /// `content_length` `None` the body that follows is close-delimited:
+    /// the client reads it until the connection closes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors, like [`Response::write_to`].
+    pub fn write_head(
+        &self,
+        stream: &mut TcpStream,
+        content_length: Option<usize>,
+    ) -> std::io::Result<()> {
         let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
-            self.body.len()
         );
+        if let Some(length) = content_length {
+            head.push_str(&format!("Content-Length: {length}\r\n"));
+        }
         for (name, value) in &self.headers {
             head.push_str(name);
             head.push_str(": ");
@@ -248,9 +269,7 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("Connection: close\r\n\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
-        stream.flush()
+        stream.write_all(head.as_bytes())
     }
 }
 

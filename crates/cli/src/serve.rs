@@ -35,18 +35,26 @@
 //! `aarc run` of the same spec/method/SLO (pinned by the CI serve smoke
 //! job).
 //!
+//! The daemon waits on events, never on a timer: the accept loop blocks in
+//! `accept`, the scheduler parks on a condition variable that admission,
+//! session controls and shutdown signal, and checkpoints are written by one
+//! writer thread, so no request waits behind a poll interval or an fsync.
+//!
 //! Shutdown: `POST /shutdown` stops admission, cancels paused sessions,
 //! drains running ones and exits 0. A SIGTERM cannot be intercepted in
 //! this build — the offline environment has no `libc` and the crate
 //! forbids `unsafe` — so process supervisors should send `/shutdown`
 //! first and treat SIGTERM as the hard fallback.
 
-use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::io::{self, BufWriter, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize, Value};
@@ -57,8 +65,8 @@ use aarc_core::{AarcError, RoundPoint, SearchSession, SessionProgress, SessionSt
 use aarc_simulator::{EvalService, EvalTelemetry, ScenarioHandle};
 use aarc_spec::{validate, ScenarioSpec};
 use aarc_telemetry::{
-    events_json, FamilySnapshot, FieldValue, FlightRecorder, Histogram, Labels, LogLevel, Logger,
-    Recorder, RecorderSnapshot,
+    events_json, prom, FamilySnapshot, FieldValue, FlightRecorder, Histogram, Labels, LogLevel,
+    Logger, Recorder, RecorderSnapshot,
 };
 use aarc_workloads::Workload;
 
@@ -97,6 +105,14 @@ pub const DEFAULT_MAX_LIVE_SESSIONS: usize = 1024;
 
 /// The observable session phases, as used by the `status=` list filter.
 const PHASE_LABELS: [&str; 5] = ["running", "paused", "finished", "failed", "cancelled"];
+
+/// Sessions a `/metrics` scrape renders per hold of the session lock; the
+/// lock is released, and the page handed to the sink, between pages.
+const SCRAPE_PAGE_SESSIONS: usize = 64;
+
+/// Buffer of a streamed `/metrics` scrape, bytes: the rendered text
+/// reaches the socket in writes of about this size.
+const SCRAPE_PIECE_BYTES: usize = 32 * 1024;
 
 /// Everything `run_serve` needs, bundled so callers (CLI flags, the
 /// loadtest harness, tests) build it in one place.
@@ -250,6 +266,93 @@ struct Slot<'s> {
     error: Option<String>,
 }
 
+/// The session table: every slot the daemon has created, by id, and the
+/// ids of the live ones. A scheduler pass, [`ServeState::live_sessions`]
+/// and admission's live counts walk only the live set, so they cost
+/// O(live) however many finished sessions the daemon keeps. It reads as
+/// its map of slots; changes that can move a slot in or out of the live
+/// set go through its methods.
+#[derive(Default)]
+struct Sessions<'s> {
+    slots: BTreeMap<u64, Slot<'s>>,
+    /// Ids of the running and paused slots: added on admission and on
+    /// recovery, removed at the terminal phase.
+    live: BTreeSet<u64>,
+}
+
+impl<'s> std::ops::Deref for Sessions<'s> {
+    type Target = BTreeMap<u64, Slot<'s>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.slots
+    }
+}
+
+impl<'s> Sessions<'s> {
+    /// Adds a slot, to the live set too when its phase is live.
+    fn insert(&mut self, slot: Slot<'s>) {
+        if slot.phase.is_live() {
+            self.live.insert(slot.id);
+        }
+        self.slots.insert(slot.id, slot);
+    }
+
+    /// The live slots, in ascending id order.
+    fn live_slots(&self) -> impl Iterator<Item = &Slot<'s>> {
+        self.live.iter().map(|id| &self.slots[id])
+    }
+
+    /// Applies `f` to every live slot, in ascending id order.
+    fn for_each_live(&mut self, mut f: impl FnMut(&mut Slot<'s>)) {
+        for id in &self.live {
+            f(self.slots.get_mut(id).expect("live ids name slots"));
+        }
+    }
+
+    /// Ids of the sessions a scheduler pass steps: running, and not out
+    /// being stepped, in ascending id order.
+    fn runnable(&self) -> Vec<u64> {
+        self.live_slots()
+            .filter(|s| s.phase == Phase::Running && s.session.is_some())
+            .map(|s| s.id)
+            .collect()
+    }
+
+    /// Takes session `id` out of its slot for a step, if it is running.
+    fn take_running(&mut self, id: u64) -> Option<SearchSession<'s>> {
+        let slot = self.slots.get_mut(&id)?;
+        if slot.phase == Phase::Running {
+            slot.session.take()
+        } else {
+            None
+        }
+    }
+
+    /// Publishes one completed step of session `id`: its progress and
+    /// trace go into the slot; a finished session is finalized and leaves
+    /// the live set, any other goes back into its slot.
+    fn settle(
+        &mut self,
+        id: u64,
+        session: SearchSession<'s>,
+        outcome: SessionState,
+        telemetry: &ServeTelemetry,
+    ) -> &Slot<'s> {
+        let Sessions { slots, live } = self;
+        let slot = slots.get_mut(&id).expect("slots are never removed");
+        slot.progress = session.progress().clone();
+        slot.trace
+            .extend_from_slice(&session.convergence()[slot.trace.len()..]);
+        if outcome == SessionState::Finished {
+            finalize_slot(slot, session, telemetry);
+            live.remove(&id);
+        } else {
+            slot.session = Some(session);
+        }
+        slot
+    }
+}
+
 /// Shared daemon state: the evaluation substrate, the tenant registry,
 /// the (tenant-partitioned) runtime scenario registry and the session
 /// table. Connection handlers and the scheduler thread share it by
@@ -266,7 +369,10 @@ struct ServeState<'s> {
     /// twin of [`EvalService::unregister`]'s retired total). Locked only
     /// while holding `scenarios`.
     retired_eval: Mutex<Vec<(u64, u64)>>,
-    sessions: Mutex<BTreeMap<u64, Slot<'s>>>,
+    sessions: Mutex<Sessions<'s>>,
+    /// Signalled, under `sessions`, by every event that can give the
+    /// parked scheduler work: admission, session controls and shutdown.
+    wake_scheduler: Condvar,
     next_session_id: AtomicU64,
     shutdown: AtomicBool,
     /// Durable state, when `--state-dir` was given.
@@ -319,7 +425,8 @@ impl<'s> ServeState<'s> {
             tenants,
             max_live_sessions,
             scenarios: Mutex::new(BTreeMap::new()),
-            sessions: Mutex::new(BTreeMap::new()),
+            sessions: Mutex::new(Sessions::default()),
+            wake_scheduler: Condvar::new(),
             next_session_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             persist,
@@ -350,9 +457,8 @@ impl<'s> ServeState<'s> {
         self.sessions
             .lock()
             .expect("session table poisoned")
-            .values()
-            .filter(|s| s.phase.is_live())
-            .count()
+            .live
+            .len()
     }
 
     /// Whether the daemon has been asked to shut down and every session
@@ -386,6 +492,15 @@ impl<'s> ServeState<'s> {
                 &Labels::new(&[("tenant", tenant), ("reason", reason)]),
             )
             .inc();
+    }
+
+    /// The `503 shutting-down` answer to an admission attempt during a
+    /// drain, counted against the tenant.
+    fn refuse_during_shutdown(&self, tenant: &str, instance: &str) -> Response {
+        self.count_rejection(tenant, "shutdown");
+        Problem::new(Kind::ShuttingDown, "daemon is shutting down")
+            .retry_after(1)
+            .response(instance)
     }
 }
 
@@ -441,9 +556,6 @@ pub fn run_serve(config: ServeConfig, ready: Option<Sender<SocketAddr>>) -> Resu
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot resolve local address: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot configure listener: {e}"))?;
     let service = EvalService::with_threads(threads);
     let telemetry = ServeTelemetry::new(logger);
     service
@@ -485,19 +597,23 @@ pub fn run_serve(config: ServeConfig, ready: Option<Sender<SocketAddr>>) -> Resu
             // and operator endpoints (healthz, metrics, recovery) are
             // already being served by the accept loop.
             run_recovery(&state);
-            scheduler_loop(&state)
+            scheduler_loop(&state);
+            // The drain is complete; the accept loop is blocked in
+            // `accept` and needs a connection to notice.
+            wake_accept(local);
         });
         loop {
+            let accepted = listener.accept();
+            // Once drained, whatever was accepted (the scheduler's wake
+            // connection, or a client arriving during the drain) is
+            // dropped unanswered.
             if state.drained() {
                 break;
             }
-            match listener.accept() {
+            match accepted {
                 Ok((stream, _)) => {
                     let state = &state;
                     scope.spawn(move || handle_connection(state, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) => {
                     eprintln!("aarc serve: accept failed: {e}");
@@ -506,100 +622,195 @@ pub fn run_serve(config: ServeConfig, ready: Option<Sender<SocketAddr>>) -> Resu
             }
         }
     });
-    // Final flush: by now every session is terminal; persist each one's
-    // result so a restarted daemon can still serve its report.
-    if state.persist.is_some() {
-        let checkpoints: Vec<SessionCheckpoint> = {
-            let sessions = state.sessions.lock().expect("session table poisoned");
-            sessions
-                .values()
-                .map(|s| checkpoint_of(&state, s))
-                .collect()
-        };
-        for checkpoint in &checkpoints {
-            write_checkpoint(&state, checkpoint);
-        }
-    }
+    flush_checkpoints(&state);
     telemetry.logger.info("serve_drained", &[]);
     eprintln!("aarc serve: drained, exiting");
     Ok(())
 }
 
+/// The address the scheduler connects to when it wakes the accept loop:
+/// the bound one, or for a daemon bound to an unspecified address
+/// (`0.0.0.0`, `::`) the loopback address of the same family.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let mut addr = local;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Wakes the accept loop, blocked in `accept`, with a connection of its
+/// own; the loop re-checks [`ServeState::drained`] after every accept.
+fn wake_accept(local: SocketAddr) {
+    let addr = wake_addr(local);
+    if let Err(e) = TcpStream::connect_timeout(&addr, READ_TIMEOUT) {
+        eprintln!("aarc serve: cannot wake the accept loop on {addr}: {e}");
+    }
+}
+
+/// Final flush, once every session is terminal: persists each session's
+/// result so a restarted daemon can still serve its report. The state
+/// dir's guard skips every session whose terminal checkpoint is already on
+/// disk, so this only retries writes that failed.
+fn flush_checkpoints(state: &ServeState<'_>) {
+    if state.persist.is_none() {
+        return;
+    }
+    let sessions = state.sessions.lock().expect("session table poisoned");
+    for slot in sessions.values() {
+        write_checkpoint(state, &checkpoint_of(state, slot));
+    }
+}
+
 /// The session scheduler: round-robins one [`SearchSession::step`] per
-/// live session per round on the shared service, applying pause/cancel
+/// running session per pass, in ascending id order, applying pause/cancel
 /// requests between steps, until shutdown has drained every session.
 /// Stepping happens outside the session-table lock, so status polls are
-/// never blocked behind a long batch.
+/// never blocked behind a long batch. While no session can be stepped the
+/// scheduler parks on [`ServeState::wake_scheduler`].
+///
+/// Checkpoints go to one writer thread, which this function starts and
+/// joins: it returns only once every checkpoint it queued was written.
 fn scheduler_loop(state: &ServeState<'_>) {
+    let outbox = Outbox::default();
+    std::thread::scope(|scope| {
+        let _close = CloseOutbox(&outbox);
+        if state.persist.is_some() {
+            scope.spawn(|| outbox.run_writer(state));
+        }
+        while let Some(runnable) = next_pass(state) {
+            for id in runnable {
+                step_session(state, id, &outbox);
+            }
+        }
+    });
+}
+
+/// Waits until some session can be stepped and returns the ids of one
+/// pass, or `None` once shutdown has drained every session. Controls are
+/// applied to the live sessions first, under the session lock.
+fn next_pass(state: &ServeState<'_>) -> Option<Vec<u64>> {
+    let mut sessions = state.sessions.lock().expect("session table poisoned");
     loop {
         let shutting_down = state.shutting_down();
-        let runnable: Vec<u64> = {
-            let mut sessions = state.sessions.lock().expect("session table poisoned");
-            for slot in sessions.values_mut() {
-                apply_controls_with_shutdown(slot, shutting_down);
-            }
-            sessions
-                .iter()
-                .filter(|(_, s)| s.phase == Phase::Running && s.session.is_some())
-                .map(|(&id, _)| id)
-                .collect()
-        };
-        let mut stepped = false;
-        for id in runnable {
-            let taken = {
-                let mut sessions = state.sessions.lock().expect("session table poisoned");
-                sessions.get_mut(&id).and_then(|slot| {
-                    if slot.phase == Phase::Running {
-                        slot.session.take()
-                    } else {
-                        None
-                    }
-                })
+        sessions.for_each_live(|slot| apply_controls_with_shutdown(slot, shutting_down));
+        let runnable = sessions.runnable();
+        if !runnable.is_empty() {
+            return Some(runnable);
+        }
+        if shutting_down && sessions.live.is_empty() {
+            return None;
+        }
+        sessions = state
+            .wake_scheduler
+            .wait(sessions)
+            .expect("session table poisoned");
+    }
+}
+
+/// Steps session `id` once, outside the session lock, publishes the
+/// result and queues the session's checkpoint when one is due.
+fn step_session(state: &ServeState<'_>, id: u64, outbox: &Outbox) {
+    let taken = state
+        .sessions
+        .lock()
+        .expect("session table poisoned")
+        .take_running(id);
+    let Some(mut session) = taken else { return };
+    let step_start = Instant::now();
+    let outcome = session.step();
+    let step_ns = step_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    state.telemetry.step_seconds.record_ns(step_ns);
+    state.telemetry.flight.record(
+        "session_step",
+        vec![
+            ("session", FieldValue::U64(id)),
+            ("rounds", FieldValue::U64(session.progress().rounds)),
+            ("duration_us", FieldValue::U64(step_ns / 1_000)),
+        ],
+    );
+    let mut sessions = state.sessions.lock().expect("session table poisoned");
+    let slot = sessions.settle(id, session, outcome, state.telemetry);
+    // Checkpoint cadence: every Nth completed round, and always at the
+    // terminal phase. The checkpoint is assembled under the lock (cheap
+    // clones) and written by the writer thread, so neither polls nor
+    // other sessions' steps wait behind an fsync.
+    let rounds = slot.progress.rounds;
+    let due = state.persist.is_some()
+        && (outcome == SessionState::Finished
+            || (rounds > 0 && rounds.is_multiple_of(state.checkpoint_every)));
+    let checkpoint = due.then(|| checkpoint_of(state, slot));
+    drop(sessions);
+    if let Some(checkpoint) = checkpoint {
+        outbox.put(checkpoint);
+    }
+}
+
+/// Checkpoints queued for the writer thread, at most one per session: a
+/// newer checkpoint of a session replaces its queued one, so the latest
+/// wins and a slow disk coalesces writes instead of queuing them.
+#[derive(Default)]
+struct Outbox {
+    queue: Mutex<OutboxQueue>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct OutboxQueue {
+    pending: BTreeMap<u64, SessionCheckpoint>,
+    closed: bool,
+}
+
+impl Outbox {
+    fn put(&self, checkpoint: SessionCheckpoint) {
+        self.queue
+            .lock()
+            .expect("checkpoint outbox poisoned")
+            .pending
+            .insert(checkpoint.id, checkpoint);
+        self.ready.notify_one();
+    }
+
+    /// Lets the writer exit once it has written what is queued.
+    fn close(&self) {
+        self.queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.ready.notify_one();
+    }
+
+    /// The writer thread's loop: writes queued checkpoints until the
+    /// outbox is closed and empty.
+    fn run_writer(&self, state: &ServeState<'_>) {
+        loop {
+            let batch = {
+                let mut queue = self.queue.lock().expect("checkpoint outbox poisoned");
+                while queue.pending.is_empty() && !queue.closed {
+                    queue = self.ready.wait(queue).expect("checkpoint outbox poisoned");
+                }
+                if queue.pending.is_empty() {
+                    return;
+                }
+                std::mem::take(&mut queue.pending)
             };
-            let Some(mut session) = taken else { continue };
-            let step_start = Instant::now();
-            let outcome_state = session.step();
-            let step_ns = step_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            state.telemetry.step_seconds.record_ns(step_ns);
-            stepped = true;
-            let mut sessions = state.sessions.lock().expect("session table poisoned");
-            let slot = sessions.get_mut(&id).expect("slots are never removed");
-            slot.progress = session.progress().clone();
-            slot.trace
-                .extend_from_slice(&session.convergence()[slot.trace.len()..]);
-            state.telemetry.flight.record(
-                "session_step",
-                vec![
-                    ("session", FieldValue::U64(id)),
-                    ("rounds", FieldValue::U64(slot.progress.rounds)),
-                    ("duration_us", FieldValue::U64(step_ns / 1_000)),
-                ],
-            );
-            if outcome_state == SessionState::Finished {
-                finalize_slot(slot, session, state.telemetry);
-            } else {
-                slot.session = Some(session);
-            }
-            // Checkpoint cadence: every Nth completed round, and always
-            // at the terminal phase. The checkpoint is assembled under
-            // the lock (cheap clones) but written to disk after it is
-            // released, so polls are never blocked behind an fsync.
-            let due = state.persist.is_some()
-                && (outcome_state == SessionState::Finished
-                    || (slot.progress.rounds > 0
-                        && slot.progress.rounds.is_multiple_of(state.checkpoint_every)));
-            let checkpoint = due.then(|| checkpoint_of(state, slot));
-            drop(sessions);
-            if let Some(checkpoint) = checkpoint {
-                write_checkpoint(state, &checkpoint);
+            for checkpoint in batch.values() {
+                write_checkpoint(state, checkpoint);
             }
         }
-        if state.drained() {
-            break;
-        }
-        if !stepped {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    }
+}
+
+/// Closes the outbox when the scheduler leaves its loop, by return or by
+/// panic, so the writer thread always finishes.
+struct CloseOutbox<'a>(&'a Outbox);
+
+impl Drop for CloseOutbox<'_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -635,28 +846,35 @@ fn checkpoint_of(state: &ServeState<'_>, slot: &Slot<'_>) -> SessionCheckpoint {
     }
 }
 
-/// Writes one checkpoint through the state dir, counting the outcome; a
-/// failed write degrades durability, never the session itself.
+/// Writes one checkpoint through the state dir, counting and timing the
+/// outcome; a failed write degrades durability, never the session itself.
 fn write_checkpoint(state: &ServeState<'_>, checkpoint: &SessionCheckpoint) {
     let Some(persist) = &state.persist else {
         return;
     };
-    match persist.write_checkpoint(checkpoint) {
-        // A stale checkpoint (superseded by a newer or terminal one) is
-        // skipped, not counted.
-        Ok(false) => {}
-        Ok(true) => state
-            .telemetry
-            .recorder
+    let started = Instant::now();
+    let written = persist.write_checkpoint(checkpoint);
+    // A stale checkpoint (superseded by a newer or terminal one) is
+    // skipped before any I/O, and neither timed nor counted.
+    if let Ok(false) = written {
+        return;
+    }
+    let recorder = &state.telemetry.recorder;
+    recorder
+        .histogram(
+            "aarc_checkpoint_write_seconds",
+            "Time to serialize and atomically write one session checkpoint, written or failed.",
+        )
+        .record(started.elapsed());
+    match written {
+        Ok(_) => recorder
             .counter(
                 "aarc_checkpoint_writes_total",
                 "Session checkpoints written to the state dir.",
             )
             .inc(),
         Err(e) => {
-            state
-                .telemetry
-                .recorder
+            recorder
                 .counter(
                     "aarc_checkpoint_write_failures_total",
                     "Session checkpoint writes that failed (durability degraded).",
@@ -733,6 +951,10 @@ fn run_recovery(state: &ServeState<'_>) {
             Err(reason) => Some(persist.quarantine(&path, reason)),
             Ok(checkpoint) => match recover_session(state, &checkpoint) {
                 Ok(live) => {
+                    // The file on disk is this session's last write: the
+                    // state dir's guard must not let a later write
+                    // regress it, nor repeat a terminal one.
+                    persist.adopt_checkpoint(&checkpoint);
                     if live {
                         report.sessions_resumed += 1;
                     } else {
@@ -905,9 +1127,11 @@ fn recover_session(state: &ServeState<'_>, checkpoint: &SessionCheckpoint) -> Re
         }),
         error: checkpoint.error.clone(),
     };
-    let mut sessions = state.sessions.lock().expect("session table poisoned");
-    sessions.insert(checkpoint.id, slot);
-    drop(sessions);
+    state
+        .sessions
+        .lock()
+        .expect("session table poisoned")
+        .insert(slot);
     state.telemetry.flight.record(
         "recovery_session",
         vec![
@@ -1072,27 +1296,36 @@ fn finalize_slot(slot: &mut Slot<'_>, session: SearchSession<'_>, telemetry: &Se
     telemetry.logger.log(level, "session_finished", &fields);
 }
 
-/// Serves one connection: read a request, route it, write the response.
-/// Each request is timed into `aarc_http_request_seconds`, appended to the
-/// flight recorder and logged as one structured line.
+/// Serves one connection: read a request, route it, write the response
+/// (a `/metrics` scrape is streamed, see [`stream_metrics`]). Each request
+/// is timed into `aarc_http_request_seconds`, appended to the flight
+/// recorder and logged as one structured line.
 fn handle_connection(state: &ServeState<'_>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let started = Instant::now();
-    let (response, method, path) = match read_request(&mut stream) {
+    let (routed, method, path) = match read_request(&mut stream) {
         Ok(None) => return,
         Err(e) => (
-            problem(Kind::BadRequest, e.to_string(), "-"),
+            Routed::Reply(problem(Kind::BadRequest, e.to_string(), "-")),
             "-".to_owned(),
             "-".to_owned(),
         ),
         Ok(Some(request)) => {
             let method = request.method.clone();
             let path = request.path.clone();
-            (route(state, &request), method, path)
+            (dispatch(state, &request), method, path)
         }
     };
-    let status = response.status;
-    let _ = response.write_to(&mut stream);
+    let status = match routed {
+        Routed::Reply(response) => {
+            let _ = response.write_to(&mut stream);
+            response.status
+        }
+        Routed::Metrics(head) => {
+            let _ = stream_metrics(state, &head, &mut stream);
+            head.status
+        }
+    };
     let duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     let telemetry = state.telemetry;
     telemetry.http_seconds.record_ns(duration_ns);
@@ -1115,28 +1348,42 @@ fn handle_connection(state: &ServeState<'_>, mut stream: TcpStream) {
 // Routing and endpoint handlers
 // ---------------------------------------------------------------------------
 
+/// What the router answers.
+enum Routed {
+    /// A response built in memory.
+    Reply(Response),
+    /// The head of the `/metrics` exposition; the caller renders its body
+    /// with [`write_metrics`] into a sink of its own.
+    Metrics(Response),
+}
+
 /// Dispatches one request: `/api/v1/...` is the canonical surface; every
 /// bare legacy path remains an alias answering with `Deprecation: true`.
-fn route(state: &ServeState<'_>, request: &Request) -> Response {
+fn dispatch(state: &ServeState<'_>, request: &Request) -> Routed {
     match request.path.strip_prefix("/api/v1") {
         Some(rest) if rest.is_empty() || rest.starts_with('/') => {
             route_core(state, request, rest, true)
         }
-        _ => route_core(state, request, &request.path, false)
-            .with_header("Deprecation", "true".to_owned()),
+        _ => {
+            let deprecated = |r: Response| r.with_header("Deprecation", "true".to_owned());
+            match route_core(state, request, &request.path, false) {
+                Routed::Reply(response) => Routed::Reply(deprecated(response)),
+                Routed::Metrics(head) => Routed::Metrics(deprecated(head)),
+            }
+        }
     }
 }
 
 /// Routes one request whose path has already had the version prefix
 /// stripped. `v1` marks the canonical surface (it alone serves the
 /// discovery document at its root).
-fn route_core(state: &ServeState<'_>, request: &Request, path: &str, v1: bool) -> Response {
+fn route_core(state: &ServeState<'_>, request: &Request, path: &str, v1: bool) -> Routed {
     let instance = request.path.as_str();
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
+    Routed::Reply(match (request.method.as_str(), segments.as_slice()) {
         ("GET", []) if v1 => discovery(),
         ("GET", ["healthz"]) => Response::json(200, "{\"status\": \"ok\"}\n".to_owned()),
-        ("GET", ["metrics"]) => Response::text(200, render_metrics(state)),
+        ("GET", ["metrics"]) => return Routed::Metrics(Response::text(200, String::new())),
         ("GET", ["version"]) => json_response(200, &VersionInfo::current()),
         ("GET", ["debug", "events"]) => debug_events(state, request, instance),
         ("GET", ["recovery"]) => recovery_status(state),
@@ -1154,7 +1401,7 @@ fn route_core(state: &ServeState<'_>, request: &Request, path: &str, v1: bool) -
             format!("no such endpoint `{instance}`"),
             instance,
         ),
-    }
+    })
 }
 
 /// The tenant-scoped surface (scenarios and sessions): resolves the
@@ -1474,10 +1721,7 @@ fn upload_scenario(
 ) -> Response {
     let tenant = state.tenants.tenant(tenant_id);
     if state.shutting_down() {
-        state.count_rejection(&tenant.name, "shutdown");
-        return Problem::new(Kind::ShuttingDown, "daemon is shutting down")
-            .retry_after(1)
-            .response(instance);
+        return state.refuse_during_shutdown(&tenant.name, instance);
     }
     let (spec, workload) = match parse_and_compile(body) {
         Ok(pair) => pair,
@@ -1645,8 +1889,8 @@ fn delete_scenario(
     {
         let sessions = state.sessions.lock().expect("session table poisoned");
         let live = sessions
-            .values()
-            .filter(|s| s.tenant == tenant_id && s.scenario == name && s.phase.is_live())
+            .live_slots()
+            .filter(|s| s.tenant == tenant_id && s.scenario == name)
             .count();
         if live > 0 {
             return problem(
@@ -1765,7 +2009,8 @@ struct StartSessionReply {
 /// under the session-table lock, so concurrent starts can never overshoot
 /// a tenant's live-session quota or the global watermark: the tenant
 /// quota answers `429`, the global watermark `503`, both with
-/// `Retry-After` — never unbounded queuing.
+/// `Retry-After` — never unbounded queuing. An admitted session wakes the
+/// scheduler.
 fn start_session(
     state: &ServeState<'_>,
     tenant_id: TenantId,
@@ -1774,10 +2019,7 @@ fn start_session(
 ) -> Response {
     let tenant = state.tenants.tenant(tenant_id);
     if state.shutting_down() {
-        state.count_rejection(&tenant.name, "shutdown");
-        return Problem::new(Kind::ShuttingDown, "daemon is shutting down")
-            .retry_after(1)
-            .response(instance);
+        return state.refuse_during_shutdown(&tenant.name, instance);
     }
     let text = match std::str::from_utf8(body) {
         Ok(text) => text,
@@ -1837,9 +2079,14 @@ fn start_session(
     }
 
     let mut sessions = state.sessions.lock().expect("session table poisoned");
+    // Checked again under the lock the scheduler decides a drain under, so
+    // no session is admitted after the drain completed.
+    if state.shutting_down() {
+        return state.refuse_during_shutdown(&tenant.name, instance);
+    }
     let tenant_live = sessions
-        .values()
-        .filter(|s| s.tenant == tenant_id && s.phase.is_live())
+        .live_slots()
+        .filter(|s| s.tenant == tenant_id)
         .count() as u64;
     if tenant_live >= tenant.quotas.max_live_sessions {
         state.count_rejection(&tenant.name, "quota");
@@ -1853,7 +2100,7 @@ fn start_session(
         .retry_after(1)
         .response(instance);
     }
-    let live = sessions.values().filter(|s| s.phase.is_live()).count();
+    let live = sessions.live.len();
     if live >= state.max_live_sessions {
         state.count_rejection(&tenant.name, "saturated");
         return Problem::new(
@@ -1896,9 +2143,10 @@ fn start_session(
         slo_ms,
         state: slot.phase.label().to_owned(),
     };
-    sessions.insert(id, slot);
+    sessions.insert(slot);
     drop(sessions);
     drop(scenarios);
+    state.wake_scheduler.notify_one();
     let fields = vec![
         ("session", FieldValue::U64(id)),
         ("tenant", FieldValue::Str(tenant.name.clone())),
@@ -2106,8 +2354,8 @@ fn debug_events(state: &ServeState<'_>, request: &Request, instance: &str) -> Re
     Response::json(200, body)
 }
 
-/// `POST /sessions/{id}/pause|resume|cancel`: record the request; the
-/// scheduler applies it between steps.
+/// `POST /sessions/{id}/pause|resume|cancel`: record the request and wake
+/// the scheduler, which applies it between steps.
 fn control_session(
     state: &ServeState<'_>,
     tenant_id: TenantId,
@@ -2116,7 +2364,11 @@ fn control_session(
     instance: &str,
 ) -> Response {
     let mut sessions = state.sessions.lock().expect("session table poisoned");
-    let Some(slot) = sessions.get_mut(&id).filter(|s| s.tenant == tenant_id) else {
+    let Some(slot) = sessions
+        .slots
+        .get_mut(&id)
+        .filter(|s| s.tenant == tenant_id)
+    else {
         return problem(Kind::NotFound, format!("no session {id}"), instance);
     };
     if !slot.phase.is_live() {
@@ -2143,7 +2395,10 @@ fn control_session(
         _ => unreachable!("router only passes pause/resume/cancel"),
     }
     apply_controls(slot);
-    json_response(200, &SessionStatus::of(slot))
+    let reply = json_response(200, &SessionStatus::of(slot));
+    drop(sessions);
+    state.wake_scheduler.notify_one();
+    reply
 }
 
 /// `GET /recovery`: whether this daemon persists state at all, whether
@@ -2186,24 +2441,24 @@ fn recovery_status(state: &ServeState<'_>) -> Response {
 fn request_shutdown(state: &ServeState<'_>) -> Response {
     state.shutdown.store(true, Ordering::SeqCst);
     let mut sessions = state.sessions.lock().expect("session table poisoned");
-    for slot in sessions.values_mut() {
-        if slot.phase == Phase::Paused || (slot.phase.is_live() && slot.want_pause) {
+    sessions.for_each_live(|slot| {
+        if slot.phase == Phase::Paused || slot.want_pause {
             slot.want_pause = false;
             slot.want_cancel = true;
             apply_controls(slot);
         }
-    }
-    let draining = sessions.values().filter(|s| s.phase.is_live()).count();
+    });
+    let draining = sessions.live.len();
     let checkpoints: Vec<SessionCheckpoint> = if state.persist.is_some() {
         sessions
-            .values()
-            .filter(|s| s.phase.is_live())
+            .live_slots()
             .map(|s| checkpoint_of(state, s))
             .collect()
     } else {
         Vec::new()
     };
     drop(sessions);
+    state.wake_scheduler.notify_one();
     for checkpoint in &checkpoints {
         write_checkpoint(state, checkpoint);
     }
@@ -2230,18 +2485,90 @@ fn plain<V>(name: &str, help: &str, value: V) -> FamilySnapshot<V> {
     family(name, help, vec![(Labels::default(), value)])
 }
 
-/// Renders the Prometheus text exposition. The scrape-time values —
-/// eval-service counters from [`EvalService::stats_snapshot`] (including
-/// the inflight saturation signals), per-tenant registry/eval/admission
-/// families, per-session progress gauges (labelled with their tenant),
-/// recovery outcome and build provenance — are put into a
-/// [`RecorderSnapshot`] of their own, then rendered together with the
-/// shared telemetry recorder's (latency histograms, kernel counters, the
-/// per-tenant request/rejection counters) by the one renderer,
-/// [`aarc_telemetry::prom::write_snapshot`]. They are not recorded into
-/// the shared recorder: a session's `state` label changes as it runs, so
-/// a shared gauge would leave its old series behind.
-fn render_metrics(state: &ServeState<'_>) -> String {
+/// A per-session gauge family: name, help, and the value a slot
+/// contributes (`None`: the session has no series in the family).
+type SessionFamily = (&'static str, &'static str, fn(&Slot<'_>) -> Option<f64>);
+
+/// The per-session families, in exposition order.
+const SESSION_FAMILIES: [SessionFamily; 4] = [
+    (
+        "aarc_session_rounds",
+        "Completed ask/evaluate/tell rounds of the session.",
+        |slot| Some(slot.progress.rounds as f64),
+    ),
+    (
+        "aarc_session_evals",
+        "Candidate evaluations consumed by the session.",
+        |slot| Some(slot.progress.evals as f64),
+    ),
+    (
+        "aarc_session_incumbent_cost",
+        "Cost of the session's best configuration so far.",
+        |slot| slot.progress.incumbent.as_ref().map(|i| i.cost),
+    ),
+    (
+        "aarc_session_incumbent_makespan_ms",
+        "End-to-end makespan of the session's best configuration, ms.",
+        |slot| slot.progress.incumbent.as_ref().map(|i| i.makespan_ms),
+    ),
+];
+
+/// Answers a `/metrics` scrape on the socket: `head`, then the exposition
+/// close-delimited (no `Content-Length`), sent in pieces of about
+/// [`SCRAPE_PIECE_BYTES`] as [`write_metrics`] renders it, so a scrape
+/// never holds its whole body.
+fn stream_metrics(
+    state: &ServeState<'_>,
+    head: &Response,
+    stream: &mut TcpStream,
+) -> io::Result<()> {
+    head.write_head(stream, None)?;
+    let mut sink = IoSink {
+        out: BufWriter::with_capacity(SCRAPE_PIECE_BYTES, &mut *stream),
+        error: None,
+    };
+    if write_metrics(state, &mut sink).is_err() {
+        return Err(sink
+            .error
+            .unwrap_or_else(|| io::Error::other("metrics rendering failed")));
+    }
+    sink.out.flush()
+}
+
+/// A [`fmt::Write`] sink over a byte stream, keeping the I/O error that a
+/// formatting error cannot carry.
+struct IoSink<W: Write> {
+    out: W,
+    error: Option<io::Error>,
+}
+
+impl<W: Write> fmt::Write for IoSink<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.out.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// Renders the Prometheus text exposition into `out`. The scrape-time
+/// values — eval-service counters from [`EvalService::stats_snapshot`]
+/// (including the inflight saturation signals), per-tenant
+/// registry/eval/admission families, recovery outcome and build
+/// provenance — are put into a [`RecorderSnapshot`] of their own and
+/// rendered by the one renderer, [`prom::write_snapshot`]; then come the
+/// per-session progress gauges (labelled with their tenant), then the
+/// shared telemetry recorder's families (latency histograms, kernel
+/// counters, the per-tenant request/rejection counters). Scrape-time
+/// values are not recorded into the shared recorder: a session's `state`
+/// label changes as it runs, so a shared gauge would leave its old series
+/// behind.
+///
+/// The per-session families are rendered a page of sessions per hold of
+/// the session lock (see [`write_session_family`]), so a scrape never
+/// copies the table and never writes to `out` under the lock. The families
+/// are therefore not one point-in-time snapshot.
+fn write_metrics(state: &ServeState<'_>, out: &mut impl fmt::Write) -> fmt::Result {
     let snapshot = state.service.stats_snapshot();
     let mut scrape = RecorderSnapshot::default();
     let build = VersionInfo::current();
@@ -2395,15 +2722,18 @@ fn render_metrics(state: &ServeState<'_>) -> String {
         }
     }
 
-    let sessions = state.sessions.lock().expect("session table poisoned");
     let mut tenant_live = vec![0u64; tenants.len()];
-    for slot in sessions.values().filter(|s| s.phase.is_live()) {
-        tenant_live[slot.tenant] += 1;
-    }
+    let sessions_total = {
+        let sessions = state.sessions.lock().expect("session table poisoned");
+        for slot in sessions.live_slots() {
+            tenant_live[slot.tenant] += 1;
+        }
+        sessions.len() as u64
+    };
     scrape.counters.push(plain(
         "aarc_sessions_total",
         "Search sessions started since daemon boot.",
-        sessions.len() as u64,
+        sessions_total,
     ));
     scrape.gauges.push(plain(
         "aarc_sessions_live",
@@ -2446,65 +2776,65 @@ fn render_metrics(state: &ServeState<'_>) -> String {
         scrape.gauges.push(family(name, help, series));
     }
 
-    // One pass over the sessions fills all four families, each session's
-    // label set rendered once. `session` is the FIRST label (the CI smoke
-    // job greps for it) and `tenant` the last.
-    let mut session_families = [
-        family(
-            "aarc_session_rounds",
-            "Completed ask/evaluate/tell rounds of the session.",
-            Vec::new(),
-        ),
-        family(
-            "aarc_session_evals",
-            "Candidate evaluations consumed by the session.",
-            Vec::new(),
-        ),
-        family(
-            "aarc_session_incumbent_cost",
-            "Cost of the session's best configuration so far.",
-            Vec::new(),
-        ),
-        family(
-            "aarc_session_incumbent_makespan_ms",
-            "End-to-end makespan of the session's best configuration, ms.",
-            Vec::new(),
-        ),
-    ];
-    for slot in sessions.values() {
-        let labels = Labels::new(&[
-            ("session", &slot.id.to_string()),
-            ("scenario", &slot.scenario),
-            ("method", &slot.method),
-            ("class", &slot.class),
-            ("state", slot.phase.label()),
-            ("tenant", &tenants[slot.tenant].name),
-        ]);
-        let incumbent = slot.progress.incumbent.as_ref();
-        let values = [
-            Some(slot.progress.rounds as f64),
-            Some(slot.progress.evals as f64),
-            incumbent.map(|i| i.cost),
-            incumbent.map(|i| i.makespan_ms),
-        ];
-        for ((_, _, series), value) in session_families.iter_mut().zip(values) {
-            if let Some(value) = value {
-                series.push((labels.clone(), value));
+    prom::write_snapshot(out, &scrape)?;
+    let mut page = String::new();
+    for family in &SESSION_FAMILIES {
+        write_session_family(state, out, family, &mut page)?;
+    }
+    prom::write_snapshot(out, &state.telemetry.recorder.snapshot())
+}
+
+/// Writes one per-session family, walking the session table a page of
+/// [`SCRAPE_PAGE_SESSIONS`] at a time: each page is rendered into `page`
+/// under the session lock and written to `out` after the lock is
+/// released. The header comes with the family's first sample, so a family
+/// no session has a value in (no sessions, or no incumbents) is not
+/// rendered. `session` is the FIRST label (the CI smoke job greps for it)
+/// and `tenant` the last.
+fn write_session_family(
+    state: &ServeState<'_>,
+    out: &mut impl fmt::Write,
+    &(name, help, value): &SessionFamily,
+    page: &mut String,
+) -> fmt::Result {
+    let tenants = state.tenants.all();
+    let mut labels = String::new();
+    let mut announced = false;
+    let mut after = None;
+    loop {
+        page.clear();
+        let done = {
+            let sessions = state.sessions.lock().expect("session table poisoned");
+            let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
+            let mut slots = sessions.range((lower, Bound::Unbounded));
+            for (&id, slot) in slots.by_ref().take(SCRAPE_PAGE_SESSIONS) {
+                after = Some(id);
+                let Some(value) = value(slot) else { continue };
+                if !announced {
+                    prom::write_header(page, name, help, "gauge")?;
+                    announced = true;
+                }
+                labels.clear();
+                prom::write_labels(
+                    &mut labels,
+                    &[
+                        ("session", &id.to_string()),
+                        ("scenario", &slot.scenario),
+                        ("method", &slot.method),
+                        ("class", &slot.class),
+                        ("state", slot.phase.label()),
+                        ("tenant", &tenants[slot.tenant].name),
+                    ],
+                )?;
+                prom::write_sample(page, name, &labels, value)?;
             }
+            slots.next().is_none()
+        };
+        out.write_str(page)?;
+        if done {
+            return Ok(());
         }
     }
-    drop(sessions);
-    // A family without sessions (or without incumbents) is not rendered.
-    scrape.gauges.extend(
-        session_families
-            .into_iter()
-            .filter(|(_, _, series)| !series.is_empty()),
-    );
-
-    let mut out = String::with_capacity(8192);
-    aarc_telemetry::prom::write_snapshot(&mut out, &scrape);
-    aarc_telemetry::prom::write_snapshot(&mut out, &state.telemetry.recorder.snapshot());
-    out
 }
 
 #[cfg(test)]
@@ -2601,39 +2931,36 @@ mod tests {
         doc
     }
 
+    /// Routes one request in memory, the way the in-process tests drive
+    /// the daemon: a `/metrics` scrape is rendered into the body.
+    fn route(state: &ServeState<'_>, request: &Request) -> Response {
+        match dispatch(state, request) {
+            Routed::Reply(response) => response,
+            Routed::Metrics(mut head) => {
+                write_metrics(state, &mut head.body).unwrap();
+                head
+            }
+        }
+    }
+
     /// Drives the router directly (no sockets) with a manual scheduler:
     /// steps every live session to completion between requests, exactly
     /// like the scheduler thread would.
     fn drain_sessions(state: &ServeState<'_>) {
         loop {
-            let runnable: Vec<u64> = {
-                let sessions = state.sessions.lock().unwrap();
-                sessions
-                    .iter()
-                    .filter(|(_, s)| s.phase == Phase::Running && s.session.is_some())
-                    .map(|(&id, _)| id)
-                    .collect()
-            };
+            let runnable = state.sessions.lock().unwrap().runnable();
             if runnable.is_empty() {
                 break;
             }
             for id in runnable {
-                let taken = {
-                    let mut sessions = state.sessions.lock().unwrap();
-                    sessions.get_mut(&id).and_then(|s| s.session.take())
-                };
+                let taken = state.sessions.lock().unwrap().take_running(id);
                 let Some(mut session) = taken else { continue };
-                let st = session.step();
-                let mut sessions = state.sessions.lock().unwrap();
-                let slot = sessions.get_mut(&id).unwrap();
-                slot.progress = session.progress().clone();
-                slot.trace
-                    .extend_from_slice(&session.convergence()[slot.trace.len()..]);
-                if st == SessionState::Finished {
-                    finalize_slot(slot, session, state.telemetry);
-                } else {
-                    slot.session = Some(session);
-                }
+                let outcome = session.step();
+                state
+                    .sessions
+                    .lock()
+                    .unwrap()
+                    .settle(id, session, outcome, state.telemetry);
             }
         }
     }
@@ -3632,29 +3959,17 @@ mod tests {
         }
     }
 
-    /// Validates the full text exposition: every sample belongs to a
-    /// family announced by exactly one `# HELP` + `# TYPE` pair, family
-    /// samples are consecutive, histogram buckets are cumulative with
-    /// `+Inf` equal to `_count`, and the latency histograms of the
-    /// telemetry recorder are present.
-    #[test]
-    fn metrics_exposition_is_well_formed() {
-        let service = EvalService::with_threads(1);
-        let telemetry = ServeTelemetry::quiet();
-        service
-            .attach_telemetry(telemetry.eval_telemetry())
-            .unwrap();
-        let state = anonymous_state(&service, &telemetry);
-        route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
-        route(
-            &state,
-            &request("POST", "/sessions", b"{\"scenario\": \"chatbot\"}"),
-        );
-        drain_sessions(&state);
-        let metrics = route(&state, &request("GET", "/metrics", b""));
-        assert_eq!(metrics.status, 200);
-        let body = &metrics.body;
-
+    /// Validates a full text exposition: every sample belongs to a family
+    /// announced by exactly one `# HELP` + `# TYPE` pair, family samples
+    /// are consecutive, and histogram buckets are cumulative with `+Inf`
+    /// equal to `_count`. Returns each family's type and each histogram's
+    /// `_count`.
+    fn assert_well_formed(
+        body: &str,
+    ) -> (
+        std::collections::BTreeMap<String, String>,
+        std::collections::BTreeMap<String, u64>,
+    ) {
         let mut types: std::collections::BTreeMap<String, String> = Default::default();
         let mut helps: std::collections::BTreeSet<String> = Default::default();
         for line in body.lines() {
@@ -3731,6 +4046,42 @@ mod tests {
             }
         }
 
+        let histogram_families = types.iter().filter(|(_, kind)| *kind == "histogram");
+        for (family, _) in histogram_families {
+            let buckets = &bucket_runs[family];
+            assert!(
+                buckets
+                    .windows(2)
+                    .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
+                "{family} buckets must be cumulative with increasing bounds"
+            );
+            let (last_bound, last_value) = *buckets.last().unwrap();
+            assert!(last_bound.is_infinite(), "{family} is missing +Inf");
+            assert_eq!(last_value, counts[family], "{family} +Inf != _count");
+        }
+        (types, counts)
+    }
+
+    /// The daemon's own exposition is well-formed, and the latency
+    /// histograms of the telemetry recorder are present.
+    #[test]
+    fn metrics_exposition_is_well_formed() {
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        service
+            .attach_telemetry(telemetry.eval_telemetry())
+            .unwrap();
+        let state = anonymous_state(&service, &telemetry);
+        route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
+        route(
+            &state,
+            &request("POST", "/sessions", b"{\"scenario\": \"chatbot\"}"),
+        );
+        drain_sessions(&state);
+        let metrics = route(&state, &request("GET", "/metrics", b""));
+        assert_eq!(metrics.status, 200);
+        let body = &metrics.body;
+        let (types, counts) = assert_well_formed(body);
         let histogram_families: Vec<&String> = types
             .iter()
             .filter(|(_, kind)| *kind == "histogram")
@@ -3740,18 +4091,6 @@ mod tests {
             histogram_families.len() >= 3,
             "expected at least 3 histogram families, got {histogram_families:?}"
         );
-        for family in &histogram_families {
-            let buckets = &bucket_runs[*family];
-            assert!(
-                buckets
-                    .windows(2)
-                    .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
-                "{family} buckets must be cumulative with increasing bounds"
-            );
-            let (last_bound, last_value) = *buckets.last().unwrap();
-            assert!(last_bound.is_infinite(), "{family} is missing +Inf");
-            assert_eq!(last_value, counts[*family], "{family} +Inf != _count");
-        }
         // The session actually recorded into the eval histograms (the
         // method decides whether it probes or batches, so accept either).
         assert!(counts["aarc_eval_batch_seconds"] + counts["aarc_eval_probe_seconds"] > 0);
@@ -3814,11 +4153,11 @@ mod tests {
         // the scheduler's shutdown sweep.
         {
             let mut sessions = state.sessions.lock().unwrap();
-            sessions.get_mut(&1).unwrap().want_pause = true;
+            sessions.slots.get_mut(&1).unwrap().want_pause = true;
         }
         {
             let mut sessions = state.sessions.lock().unwrap();
-            for slot in sessions.values_mut() {
+            for slot in sessions.slots.values_mut() {
                 apply_controls_with_shutdown(slot, state.shutting_down());
             }
         }
@@ -3859,18 +4198,18 @@ mod tests {
     /// mirroring one scheduler round per step.
     fn step_rounds(state: &ServeState<'_>, id: u64, rounds: u64) {
         for _ in 0..rounds {
-            let mut session = {
-                let mut sessions = state.sessions.lock().unwrap();
-                sessions.get_mut(&id).unwrap().session.take().unwrap()
-            };
-            let st = session.step();
-            let mut sessions = state.sessions.lock().unwrap();
-            let slot = sessions.get_mut(&id).unwrap();
-            slot.progress = session.progress().clone();
-            slot.trace
-                .extend_from_slice(&session.convergence()[slot.trace.len()..]);
-            assert_eq!(st, SessionState::Running, "session finished prematurely");
-            slot.session = Some(session);
+            let mut session = state.sessions.lock().unwrap().take_running(id).unwrap();
+            let outcome = session.step();
+            assert_eq!(
+                outcome,
+                SessionState::Running,
+                "session finished prematurely"
+            );
+            state
+                .sessions
+                .lock()
+                .unwrap()
+                .settle(id, session, outcome, state.telemetry);
         }
     }
 
@@ -4187,5 +4526,228 @@ mod tests {
             !metrics.contains("aarc_recovery_"),
             "recovery families must not appear without --state-dir"
         );
+    }
+
+    /// An unlabelled sample's value in a scrape; 0 while its family is
+    /// absent, as counters are until first incremented.
+    fn sample(body: &str, series: &str) -> u64 {
+        body.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+            .map_or(0, |v| v.parse().unwrap())
+    }
+
+    /// Polls `done` every millisecond for up to ten seconds; returns
+    /// whether it held.
+    fn eventually(done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn the_accept_wake_reaches_unspecified_binds_over_loopback() {
+        let addr = |text: &str| text.parse::<SocketAddr>().unwrap();
+        assert_eq!(wake_addr(addr("0.0.0.0:7411")), addr("127.0.0.1:7411"));
+        assert_eq!(wake_addr(addr("[::]:7411")), addr("[::1]:7411"));
+        assert_eq!(wake_addr(addr("10.1.2.3:80")), addr("10.1.2.3:80"));
+    }
+
+    /// A daemon with no sessions leaves its blocking accept once
+    /// `/shutdown` drains it; a scrape over the socket arrives
+    /// close-delimited and well-formed.
+    #[test]
+    fn an_idle_daemon_wakes_from_accept_on_shutdown() {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            threads: 1,
+            tenants: TenantRegistry::single_anonymous(),
+            max_live_sessions: DEFAULT_MAX_LIVE_SESSIONS,
+            logger: Logger::new(LogLevel::Error, aarc_telemetry::LogFormat::Text),
+            state_dir: None,
+            checkpoint_every: crate::state::DEFAULT_CHECKPOINT_EVERY,
+            tenants_config: None,
+        };
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done_tx.send(run_serve(config, Some(ready_tx))));
+        let wait = Duration::from_secs(10);
+        let addr = ready_rx.recv_timeout(wait).expect("the daemon binds");
+        let http = |method, path| {
+            crate::client::http_request(addr, method, path, None, b"", wait).unwrap()
+        };
+        let scrape = http("GET", "/api/v1/metrics");
+        assert_eq!(scrape.status, 200, "{}", scrape.body);
+        assert_eq!(scrape.header("content-length"), None, "close-delimited");
+        assert_well_formed(&scrape.body);
+        assert!(scrape.body.contains("aarc_sessions_total 0\n"));
+        let reply = http("POST", "/api/v1/shutdown");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let served = done_rx
+            .recv_timeout(wait)
+            .expect("a drained daemon leaves its accept loop");
+        assert_eq!(served, Ok(()));
+    }
+
+    /// A session resumed while the scheduler thread is parked wakes it and
+    /// runs to completion.
+    #[test]
+    fn a_session_resumed_while_the_scheduler_is_parked_finishes() {
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        let state = anonymous_state(&service, &telemetry);
+        route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
+        let started = route(
+            &state,
+            &request(
+                "POST",
+                "/sessions",
+                b"{\"scenario\": \"chatbot\", \"paused\": true}",
+            ),
+        );
+        assert_eq!(started.status, 201, "{}", started.body);
+        let finished = std::thread::scope(|scope| {
+            let state = &state;
+            scope.spawn(move || scheduler_loop(state));
+            // Nothing is runnable, so the scheduler parks. Parking is not
+            // observable from outside, hence a sleep rather than a barrier:
+            // the session must finish in either interleaving, and the
+            // sleep makes the parked one the likely one.
+            std::thread::sleep(Duration::from_millis(20));
+            let resumed = route(state, &request("POST", "/sessions/1/resume", b""));
+            assert_eq!(resumed.status, 200, "{}", resumed.body);
+            let finished = eventually(|| state.live_sessions() == 0);
+            // Shutdown wakes the scheduler too, so a missed wake fails
+            // the assertion below instead of hanging the scope.
+            route(state, &request("POST", "/shutdown", b""));
+            finished
+        });
+        assert!(finished, "the resumed session never finished");
+        let status = route(&state, &request("GET", "/sessions/1", b""));
+        assert!(
+            status.body.contains("\"state\": \"finished\""),
+            "{}",
+            status.body
+        );
+    }
+
+    /// A scrape of thousands of sessions, rendered a page at a time, still
+    /// announces each family once with its samples consecutive, and gives
+    /// every session its four series.
+    #[test]
+    fn a_scrape_of_thousands_of_sessions_keeps_whole_families() {
+        const SESSIONS: u64 = 2_000;
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        let state = anonymous_state(&service, &telemetry);
+        route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
+        route(
+            &state,
+            &request(
+                "POST",
+                "/sessions",
+                b"{\"scenario\": \"chatbot\", \"method\": \"random\"}",
+            ),
+        );
+        drain_sessions(&state);
+        {
+            let mut sessions = state.sessions.lock().unwrap();
+            let first = &sessions[&1];
+            assert_eq!(first.phase, Phase::Finished);
+            let (tenant, progress) = (first.tenant, first.progress.clone());
+            let (scenario, method, class) = (
+                first.scenario.clone(),
+                first.method.clone(),
+                first.class.clone(),
+            );
+            assert!(progress.incumbent.is_some(), "a finished search has one");
+            for id in 2..=SESSIONS {
+                sessions.insert(Slot {
+                    id,
+                    tenant,
+                    scenario: scenario.clone(),
+                    method: method.clone(),
+                    class: class.clone(),
+                    slo_ms: 1_000.0,
+                    session: None,
+                    phase: Phase::Finished,
+                    want_pause: false,
+                    want_cancel: false,
+                    progress: progress.clone(),
+                    trace: Vec::new(),
+                    report_json: None,
+                    summary: None,
+                    error: None,
+                });
+            }
+        }
+        let body = route(&state, &request("GET", "/metrics", b"")).body;
+        let (types, _) = assert_well_formed(&body);
+        let mut per_session: BTreeMap<&str, usize> = BTreeMap::new();
+        for (name, _, _) in &SESSION_FAMILIES {
+            assert_eq!(types[*name], "gauge");
+            let prefix = format!("{name}{{session=\"");
+            for line in body.lines() {
+                if let Some(rest) = line.strip_prefix(&prefix) {
+                    *per_session
+                        .entry(rest.split('"').next().unwrap())
+                        .or_default() += 1;
+                }
+            }
+        }
+        assert_eq!(per_session.len() as u64, SESSIONS);
+        assert!(per_session.values().all(|&n| n == 4), "{per_session:?}");
+        assert!(body.contains(&format!("aarc_sessions_total {SESSIONS}\n")));
+    }
+
+    /// With every session finished, `/shutdown` and the final flush write
+    /// no checkpoint again, and the write histogram counts exactly the
+    /// writes that reached the disk.
+    #[test]
+    fn shutdown_does_not_rewrite_finished_checkpoints() {
+        let dir = temp_state_dir("no-rewrite");
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        // Only terminal checkpoints are due.
+        let state = persisted_state(&service, &telemetry, &dir, 1_000_000);
+        run_recovery(&state);
+        route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
+        for _ in 0..3 {
+            let started = route(
+                &state,
+                &request(
+                    "POST",
+                    "/sessions",
+                    b"{\"scenario\": \"chatbot\", \"method\": \"random\"}",
+                ),
+            );
+            assert_eq!(started.status, 201, "{}", started.body);
+        }
+        let writes = |state: &ServeState<'_>| {
+            let body = route(state, &request("GET", "/metrics", b"")).body;
+            sample(&body, "aarc_checkpoint_writes_total")
+        };
+        let before = std::thread::scope(|scope| {
+            let state = &state;
+            scope.spawn(move || scheduler_loop(state));
+            eventually(|| writes(state) == 3);
+            let before = writes(state);
+            let reply = route(state, &request("POST", "/shutdown", b""));
+            assert!(reply.body.contains("\"draining\": 0"), "{}", reply.body);
+            before
+        });
+        assert_eq!(before, 3, "one terminal checkpoint per session");
+        flush_checkpoints(&state);
+        let body = route(&state, &request("GET", "/metrics", b"")).body;
+        assert_eq!(sample(&body, "aarc_checkpoint_writes_total"), before);
+        assert_eq!(
+            sample(&body, "aarc_checkpoint_write_seconds_count"),
+            before + sample(&body, "aarc_checkpoint_write_failures_total")
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -349,10 +349,13 @@ impl StateDir {
     /// Writes (or refreshes) one session checkpoint atomically, keeping
     /// the session's durable state monotone: writes of one session are
     /// serialized, and a checkpoint with fewer `rounds` than the last one
-    /// written, or a non-terminal one after a terminal one, is skipped. A
-    /// writer that assembled its checkpoint earlier but reaches the disk
-    /// later therefore never regresses a newer one. Returns whether the
-    /// checkpoint was written.
+    /// written is skipped. A writer that assembled its checkpoint earlier
+    /// but reaches the disk later therefore never regresses a newer one.
+    /// Once a terminal checkpoint was written every later one is skipped
+    /// too: a terminal phase is final, so a rewrite (the drain's final
+    /// flush of a finished session) would only repeat the bytes on disk. A
+    /// write that failed leaves the guard as it was, so it can be retried.
+    /// Returns whether the checkpoint was written.
     ///
     /// # Errors
     ///
@@ -367,16 +370,30 @@ impl StateDir {
         );
         let mut last = last.lock().expect("session checkpoint lock poisoned");
         let (last_rounds, last_terminal) = *last;
-        let terminal = checkpoint.is_terminal();
-        if checkpoint.rounds < last_rounds || (last_terminal && !terminal) {
+        if checkpoint.rounds < last_rounds || last_terminal {
             return Ok(false);
         }
         let mut text = serde_json::to_string_pretty(checkpoint)
             .map_err(|e| std::io::Error::other(format!("checkpoint serialization: {e}")))?;
         text.push('\n');
         atomic_write(self.checkpoint_path(checkpoint.id), text.as_bytes())?;
-        *last = (checkpoint.rounds, terminal);
+        *last = (checkpoint.rounds, checkpoint.is_terminal());
         Ok(true)
+    }
+
+    /// Records a checkpoint that recovery read back from disk as its
+    /// session's last write, so [`write_checkpoint`](Self::write_checkpoint)'s
+    /// guard also covers files an earlier daemon wrote: a restored terminal
+    /// checkpoint is never rewritten, and a resumed session's is never
+    /// regressed.
+    pub fn adopt_checkpoint(&self, checkpoint: &SessionCheckpoint) {
+        self.checkpoints
+            .lock()
+            .expect("checkpoint table poisoned")
+            .insert(
+                checkpoint.id,
+                Arc::new(Mutex::new((checkpoint.rounds, checkpoint.is_terminal()))),
+            );
     }
 
     /// Reads every checkpoint file back, in session-id (= file name)
@@ -688,9 +705,50 @@ mod tests {
         late_running.rounds = 12;
         assert!(!state.write_checkpoint(&late_running).unwrap());
         assert_eq!(stored(), finished);
-        // Re-writing the terminal checkpoint (the drain's final flush) is
-        // allowed.
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A terminal checkpoint is written once: the drain's final flush of a
+    /// finished session repeats nothing. A failed write is retried.
+    #[test]
+    fn terminal_checkpoints_are_written_once_and_failed_writes_retry() {
+        let root = temp_state_dir("terminal-once");
+        let state = StateDir::open(&root).unwrap();
+        let mut finished = checkpoint(3);
+        finished.phase = "finished".to_owned();
+        finished.report_json = Some("{}\n".to_owned());
+        // The first terminal write fails: the checkpoints directory is a
+        // file for now.
+        std::fs::remove_dir_all(root.join("checkpoints")).unwrap();
+        std::fs::write(root.join("checkpoints"), b"in the way").unwrap();
+        assert!(state.write_checkpoint(&finished).is_err());
+        std::fs::remove_file(root.join("checkpoints")).unwrap();
+        std::fs::create_dir(root.join("checkpoints")).unwrap();
+        // The retry goes through, and an identical second one is skipped.
         assert!(state.write_checkpoint(&finished).unwrap());
+        assert!(!state.write_checkpoint(&finished).unwrap());
+        assert_eq!(state.load_checkpoints()[0].1.as_ref().unwrap(), &finished);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Checkpoints recovery read back guard later writes like ones this
+    /// state dir wrote itself.
+    #[test]
+    fn adopted_checkpoints_guard_later_writes() {
+        let root = temp_state_dir("adopt");
+        let state = StateDir::open(&root).unwrap();
+        let mut finished = checkpoint(1);
+        finished.phase = "cancelled".to_owned();
+        state.adopt_checkpoint(&finished);
+        assert!(!state.write_checkpoint(&finished).unwrap());
+        let mut live = checkpoint(2);
+        live.rounds = 5;
+        state.adopt_checkpoint(&live);
+        live.rounds = 4;
+        assert!(!state.write_checkpoint(&live).unwrap(), "regression");
+        live.rounds = 6;
+        assert!(state.write_checkpoint(&live).unwrap());
+        assert_eq!(state.load_checkpoints().len(), 1, "only session 2 wrote");
         std::fs::remove_dir_all(&root).ok();
     }
 

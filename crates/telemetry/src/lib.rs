@@ -24,10 +24,11 @@
 //!   `aarc_build_info` metric and `BENCH_*.json`.
 //! * [`prom`] — the one Prometheus text-exposition renderer:
 //!   [`prom::write_snapshot`] writes a [`RecorderSnapshot`] with one
-//!   `# HELP`/`# TYPE` header per family. The daemon's `/metrics` puts
-//!   its scrape-time values into a [`RecorderSnapshot`] of its own and
-//!   renders it through this function too, so no other code writes
-//!   exposition text.
+//!   `# HELP`/`# TYPE` header per family, to any `fmt::Write` sink. The
+//!   daemon's `/metrics` puts its scrape-time values into a
+//!   [`RecorderSnapshot`] of its own and renders it through this function
+//!   too, and writes its per-session families with [`prom::write_header`]
+//!   and [`prom::write_sample`], so no other code writes exposition text.
 //!
 //! Instrumentation built on this crate must be zero-cost when nothing is
 //! attached: every clock read lives behind an `Option` check at the call

@@ -6,36 +6,53 @@
 //! series (in **seconds**, the Prometheus convention for durations) plus
 //! `_sum` and `_count`.
 //!
+//! Every writer takes any [`std::fmt::Write`] sink: a `String` holds a
+//! whole exposition, while a sink over a socket lets a caller send a large
+//! one in bounded pieces, family by family.
+//!
 //! [text-based exposition format]:
 //! https://prometheus.io/docs/instrumenting/exposition_formats/
 
-use std::fmt::{Display, Write};
+use std::fmt::{self, Display, Write};
 
 use crate::metrics::{FamilySnapshot, HistogramSnapshot, RecorderSnapshot, BUCKET_BOUNDS_NS};
 
-/// Renders a label set as `name="value",...`, escaping backslash,
-/// double-quote and newline in the values; empty for no labels. This is
-/// the text of a [`Labels`](crate::Labels), which [`write_snapshot`] puts
+/// Writes a label set as `name="value",...`, escaping backslash,
+/// double-quote and newline in the values; nothing for no labels. This is
+/// the text of a [`Labels`](crate::Labels), which [`write_sample`] puts
 /// between a sample's braces.
+///
+/// # Errors
+///
+/// Returns the sink's error.
+pub fn write_labels<W: Write>(out: &mut W, labels: &[(&str, &str)]) -> fmt::Result {
+    for (i, (key, value)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        out.write_str(key)?;
+        out.write_str("=\"")?;
+        let mut rest = *value;
+        while let Some(at) = rest.find(['\\', '"', '\n']) {
+            out.write_str(&rest[..at])?;
+            out.write_str(match rest.as_bytes()[at] {
+                b'\\' => "\\\\",
+                b'"' => "\\\"",
+                _ => "\\n",
+            })?;
+            rest = &rest[at + 1..];
+        }
+        out.write_str(rest)?;
+        out.write_char('"')?;
+    }
+    Ok(())
+}
+
+/// [`write_labels`] into a new `String`.
 pub(crate) fn render_labels(labels: &[(&str, &str)]) -> String {
     let len = labels.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
     let mut out = String::with_capacity(len);
-    for (i, (key, value)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(key);
-        out.push_str("=\"");
-        for ch in value.chars() {
-            match ch {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
+    write_labels(&mut out, labels).expect("writing to a String cannot fail");
     out
 }
 
@@ -52,72 +69,94 @@ pub fn escape_help(help: &str) -> String {
     out
 }
 
-fn write_header(out: &mut String, name: &str, help: &str, kind: &str) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&escape_help(help));
-    out.push('\n');
-    out.push_str("# TYPE ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(kind);
-    out.push('\n');
+/// Writes a family's `# HELP` and `# TYPE` lines; `kind` is `counter`,
+/// `gauge` or `histogram`.
+///
+/// # Errors
+///
+/// Returns the sink's error.
+pub fn write_header<W: Write>(out: &mut W, name: &str, help: &str, kind: &str) -> fmt::Result {
+    writeln!(out, "# HELP {name} {}", escape_help(help))?;
+    writeln!(out, "# TYPE {name} {kind}")
+}
+
+/// Writes one sample line, `name{labels} value`, where `labels` is
+/// rendered label text (see [`write_labels`]); a plain sample, with empty
+/// `labels`, has no braces.
+///
+/// # Errors
+///
+/// Returns the sink's error.
+pub fn write_sample<W: Write>(
+    out: &mut W,
+    name: &str,
+    labels: &str,
+    value: impl Display,
+) -> fmt::Result {
+    if labels.is_empty() {
+        writeln!(out, "{name} {value}")
+    } else {
+        writeln!(out, "{name}{{{labels}}} {value}")
+    }
 }
 
 /// Writes a histogram family with its headers: cumulative buckets with
 /// `le` bounds in seconds, a `+Inf` bucket, `_sum` (seconds) and `_count`.
-pub fn write_histogram(out: &mut String, name: &str, help: &str, snapshot: &HistogramSnapshot) {
-    write_header(out, name, help, "histogram");
+///
+/// # Errors
+///
+/// Returns the sink's error.
+pub fn write_histogram<W: Write>(
+    out: &mut W,
+    name: &str,
+    help: &str,
+    snapshot: &HistogramSnapshot,
+) -> fmt::Result {
+    write_header(out, name, help, "histogram")?;
     let mut cumulative = 0u64;
     for (idx, &count) in snapshot.counts.iter().enumerate() {
         cumulative += count;
-        out.push_str(name);
-        out.push_str("_bucket{le=\"");
-        if idx < BUCKET_BOUNDS_NS.len() {
-            out.push_str(&format!("{}", BUCKET_BOUNDS_NS[idx] as f64 / 1e9));
-        } else {
-            out.push_str("+Inf");
+        match BUCKET_BOUNDS_NS.get(idx) {
+            Some(&bound) => writeln!(
+                out,
+                "{name}_bucket{{le=\"{}\"}} {cumulative}",
+                bound as f64 / 1e9
+            )?,
+            None => writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}")?,
         }
-        out.push_str("\"} ");
-        out.push_str(&cumulative.to_string());
-        out.push('\n');
     }
-    out.push_str(name);
-    out.push_str("_sum ");
-    out.push_str(&format!("{}", snapshot.sum_ns as f64 / 1e9));
-    out.push('\n');
-    out.push_str(name);
-    out.push_str("_count ");
-    out.push_str(&cumulative.to_string());
-    out.push('\n');
+    writeln!(out, "{name}_sum {}", snapshot.sum_ns as f64 / 1e9)?;
+    writeln!(out, "{name}_count {cumulative}")
 }
 
-/// Writes counter or gauge families: one header each, then every series,
-/// a plain one without label braces.
-fn write_families<V: Display>(out: &mut String, kind: &str, families: &[FamilySnapshot<V>]) {
+/// Writes counter or gauge families: one header each, then every series.
+fn write_families<W: Write, V: Display>(
+    out: &mut W,
+    kind: &str,
+    families: &[FamilySnapshot<V>],
+) -> fmt::Result {
     for (name, help, series) in families {
-        write_header(out, name, help, kind);
+        write_header(out, name, help, kind)?;
         for (labels, value) in series {
-            out.push_str(name);
-            if !labels.as_str().is_empty() {
-                out.push('{');
-                out.push_str(labels.as_str());
-                out.push('}');
-            }
-            let _ = writeln!(out, " {value}");
+            write_sample(out, name, labels.as_str(), value)?;
         }
     }
+    Ok(())
 }
 
 /// Writes every metric in a [`RecorderSnapshot`] in the snapshot's order:
 /// counter families, then gauge families, then histograms.
-pub fn write_snapshot(out: &mut String, snapshot: &RecorderSnapshot) {
-    write_families(out, "counter", &snapshot.counters);
-    write_families(out, "gauge", &snapshot.gauges);
+///
+/// # Errors
+///
+/// Returns the sink's error; a `String` sink never fails.
+pub fn write_snapshot<W: Write>(out: &mut W, snapshot: &RecorderSnapshot) -> fmt::Result {
+    write_families(out, "counter", &snapshot.counters)?;
+    write_families(out, "gauge", &snapshot.gauges)?;
     for (name, help, hist) in &snapshot.histograms {
-        write_histogram(out, name, help, hist);
+        write_histogram(out, name, help, hist)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -144,7 +183,7 @@ mod tests {
         recorder.counter("aarc_things_total", "Things seen.").add(7);
         recorder.gauge("aarc_rate", "Current rate.").set(2.5);
         let mut out = String::new();
-        write_snapshot(&mut out, &recorder.snapshot());
+        write_snapshot(&mut out, &recorder.snapshot()).unwrap();
         assert_eq!(
             out,
             "# HELP aarc_things_total Things seen.\n\
@@ -164,7 +203,7 @@ mod tests {
         h.record_ns(3_000_000); // (2ms, 5ms]
         h.record_ns(u64::MAX); // overflow
         let mut out = String::new();
-        write_histogram(&mut out, "aarc_test_seconds", "Test.", &h.snapshot());
+        write_histogram(&mut out, "aarc_test_seconds", "Test.", &h.snapshot()).unwrap();
 
         assert!(
             out.starts_with("# HELP aarc_test_seconds Test.\n# TYPE aarc_test_seconds histogram\n")
@@ -228,7 +267,7 @@ mod tests {
             ],
         ));
         let mut out = String::new();
-        write_snapshot(&mut out, &snapshot);
+        write_snapshot(&mut out, &snapshot).unwrap();
         // One header per family, samples consecutive and label-sorted.
         for family in ["reqs_total", "rejected_total", "live", "hits_total"] {
             assert_eq!(out.matches(&format!("# TYPE {family} ")).count(), 1);
@@ -267,9 +306,9 @@ mod tests {
         recorder.gauge("g", "G.").set(1.0);
         recorder.histogram("h_seconds", "H.").record_ns(10);
         let mut first = String::new();
-        write_snapshot(&mut first, &recorder.snapshot());
+        write_snapshot(&mut first, &recorder.snapshot()).unwrap();
         let mut second = String::new();
-        write_snapshot(&mut second, &recorder.snapshot());
+        write_snapshot(&mut second, &recorder.snapshot()).unwrap();
         assert_eq!(first, second);
         // Counters render in name order.
         let a = first.find("a_total 2").unwrap();
