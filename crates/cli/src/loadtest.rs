@@ -34,6 +34,10 @@ use crate::tenant::{TenantRegistry, TenantSpec};
 /// scheduler can delay accepts under thousands of sessions).
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long the in-process daemon may take to drain and exit after
+/// `/shutdown`; a daemon that misses it fails the run instead of hanging it.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(60);
+
 /// The harness's retry policy: honor `Retry-After` on 429/503 but cap it
 /// hard — the daemon suggests whole seconds, and a loadtest that sleeps a
 /// second per rejection measures the sleep, not the daemon.
@@ -201,6 +205,25 @@ fn poll_live(stats: &Stats, addr: SocketAddr, key: &str) -> Result<u64, String> 
     Ok(live)
 }
 
+/// Drains the in-process daemon: sends `/shutdown`, then waits up to
+/// [`DRAIN_DEADLINE`] for `run_serve` to report on `exited`.
+fn drain_daemon(
+    stats: &Stats,
+    addr: SocketAddr,
+    exited: &mpsc::Receiver<Result<(), String>>,
+) -> Result<(), String> {
+    let shutdown = stats.call(addr, "POST", "/api/v1/shutdown", &key_of(0), b"");
+    let served = exited.recv_timeout(DRAIN_DEADLINE).map_err(|e| match e {
+        mpsc::RecvTimeoutError::Timeout => format!(
+            "daemon did not exit within {}s of /shutdown",
+            DRAIN_DEADLINE.as_secs()
+        ),
+        mpsc::RecvTimeoutError::Disconnected => "daemon thread panicked".to_owned(),
+    })?;
+    shutdown?;
+    served
+}
+
 /// Runs the whole harness: spawn daemon, upload, drive, measure, drain.
 ///
 /// # Errors
@@ -239,7 +262,10 @@ pub fn run_loadtest(options: &LoadtestOptions) -> Result<(), String> {
         tenants_config: None,
     };
     let (ready_tx, ready_rx) = mpsc::channel();
-    let daemon = std::thread::spawn(move || run_serve(config, Some(ready_tx)));
+    let (exited_tx, exited_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = exited_tx.send(run_serve(config, Some(ready_tx)));
+    });
     let addr = ready_rx
         .recv_timeout(Duration::from_secs(10))
         .map_err(|_| "daemon did not become ready within 10s".to_owned())?;
@@ -256,12 +282,14 @@ pub fn run_loadtest(options: &LoadtestOptions) -> Result<(), String> {
             &spec_body,
         )?;
         if reply.status != 201 {
-            let _ = stats.call(addr, "POST", "/api/v1/shutdown", &key_of(0), b"");
-            let _ = daemon.join();
-            return Err(format!(
+            let failed = format!(
                 "scenario upload for tenant {tenant} failed with {}: {}",
                 reply.status, reply.body
-            ));
+            );
+            return Err(match drain_daemon(&stats, addr, &exited_rx) {
+                Ok(()) => failed,
+                Err(stall) => format!("{failed}; {stall}"),
+            });
         }
     }
 
@@ -344,12 +372,7 @@ pub fn run_loadtest(options: &LoadtestOptions) -> Result<(), String> {
 
     // Always drain the daemon, even on a failed run: shutdown cancels the
     // held (paused) sessions and the accept loop exits once drained.
-    let shutdown = stats.call(addr, "POST", "/api/v1/shutdown", &key_of(0), b"");
-    let joined = daemon
-        .join()
-        .map_err(|_| "daemon thread panicked".to_owned())?;
-    shutdown?;
-    joined?;
+    drain_daemon(&stats, addr, &exited_rx)?;
 
     if let Some(e) = failure.into_inner().expect("failure slot") {
         return Err(format!("loadtest client failed: {e}"));

@@ -61,7 +61,9 @@ use serde::{Deserialize, Serialize, Value};
 
 use aarc_baselines::methods;
 use aarc_core::report::ConfigurationReport;
-use aarc_core::{AarcError, RoundPoint, SearchSession, SessionProgress, SessionState};
+use aarc_core::{
+    AarcError, ConfigurationSearch, RoundPoint, SearchSession, SessionProgress, SessionState,
+};
 use aarc_simulator::{EvalService, EvalTelemetry, ScenarioHandle};
 use aarc_spec::{validate, ScenarioSpec};
 use aarc_telemetry::{
@@ -73,8 +75,8 @@ use aarc_workloads::Workload;
 use crate::http::{read_request, Request, Response};
 use crate::problem::{problem, Kind, Problem};
 use crate::state::{
-    CheckpointSummary, PersistedScenario, QuarantinedFile, SessionCheckpoint, StateDir, WalRecord,
-    STATE_VERSION,
+    PersistedScenario, Phase, QuarantinedFile, SessionCheckpoint, SessionSummary, StateDir,
+    WalRecord, STATE_VERSION,
 };
 use crate::sweep::SweepClass;
 use crate::tenant::{TenantId, TenantRegistry};
@@ -102,9 +104,6 @@ const MAX_PAGE_LIMIT: usize = 500;
 /// live (running or paused) sessions, new session starts are rejected
 /// with `503` instead of queuing without bound.
 pub const DEFAULT_MAX_LIVE_SESSIONS: usize = 1024;
-
-/// The observable session phases, as used by the `status=` list filter.
-const PHASE_LABELS: [&str; 5] = ["running", "paused", "finished", "failed", "cancelled"];
 
 /// Sessions a `/metrics` scrape renders per hold of the session lock; the
 /// lock is released, and the page handed to the sink, between pages.
@@ -186,14 +185,20 @@ impl ServeTelemetry {
     pub fn eval_telemetry(&self) -> EvalTelemetry {
         EvalTelemetry::new(&self.recorder, Arc::clone(&self.flight))
     }
+
+    /// Logs an event at `level` and records it in the flight recorder.
+    fn event(&self, level: LogLevel, name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
+        self.logger.log(level, name, &fields);
+        self.flight.record(name, fields);
+    }
 }
 
 /// One uploaded scenario in the runtime registry.
 struct ScenarioEntry<'s> {
     workload: Workload,
-    functions: usize,
-    edges: usize,
-    slo_ms: f64,
+    /// The scenario's row in `GET /scenarios`, and the `POST /scenarios`
+    /// reply.
+    summary: ScenarioSummary,
     /// One registered handle per input-class variant used by this
     /// scenario's sessions: the class environment is compiled once and
     /// every further session clones the (cheap, `Arc`-backed) handle.
@@ -203,67 +208,66 @@ struct ScenarioEntry<'s> {
     handles: BTreeMap<String, ScenarioHandle<'s>>,
 }
 
-/// Observable lifecycle phase of a served session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Running,
-    Paused,
-    Finished,
-    Failed,
-    Cancelled,
-}
-
-impl Phase {
-    fn label(self) -> &'static str {
-        match self {
-            Phase::Running => "running",
-            Phase::Paused => "paused",
-            Phase::Finished => "finished",
-            Phase::Failed => "failed",
-            Phase::Cancelled => "cancelled",
-        }
+impl<'s> ScenarioEntry<'s> {
+    /// The upload, validate and recovery pipeline: bytes → spec → semantic
+    /// validation → compiled workload, all in memory. An unparseable body
+    /// is a 400 ([`Kind::BadRequest`]); a body that parsed but failed
+    /// semantic validation or compilation is a 422
+    /// ([`Kind::ValidationFailed`]). The spec comes back too, for the
+    /// write-ahead log.
+    fn compile(body: &[u8]) -> Result<(ScenarioSpec, Self), (Kind, String)> {
+        let spec = ScenarioSpec::from_slice(body).map_err(|e| (Kind::BadRequest, e.to_string()))?;
+        validate(&spec).map_err(|e| (Kind::ValidationFailed, e.to_string()))?;
+        let workload = aarc_spec::compile(&spec)
+            .map_err(|e| (Kind::ValidationFailed, e.to_string()))?
+            .into_workload();
+        let summary = ScenarioSummary {
+            name: workload.name().to_owned(),
+            functions: spec.functions.len(),
+            edges: spec.edges.len(),
+            slo_ms: workload.slo_ms(),
+        };
+        let entry = ScenarioEntry {
+            workload,
+            summary,
+            handles: BTreeMap::new(),
+        };
+        Ok((spec, entry))
     }
 
-    /// Whether the session still occupies the scheduler.
-    fn is_live(self) -> bool {
-        matches!(self, Phase::Running | Phase::Paused)
+    /// A new session of `method` on this scenario's `class` environment,
+    /// for admission and recovery alike: the class handle is registered
+    /// on first use and cloned after.
+    fn session(
+        &mut self,
+        service: &'s EvalService,
+        class: SweepClass,
+        method: &dyn ConfigurationSearch,
+        slo_ms: f64,
+    ) -> Result<SearchSession<'s>, AarcError> {
+        let handle = self
+            .handles
+            .entry(class.label())
+            .or_insert_with(|| service.register(class.env(self.workload.env())))
+            .clone();
+        let strategy = method.strategy(handle.env(), slo_ms)?;
+        Ok(SearchSession::with_slo(strategy, handle, slo_ms))
     }
 }
 
-/// Final summary of a finished session (mirrors the sweep report row).
-#[derive(Debug, Clone, Serialize)]
-struct FinalSummary {
-    final_cost: f64,
-    final_makespan_ms: f64,
-    meets_slo: bool,
-    samples: usize,
-}
-
-/// One session slot: identity, the steppable session itself (absent while
-/// the scheduler holds it for a step, and after it finished), the last
-/// published progress snapshot and the terminal result.
+/// One session slot: the session's record, which is also its checkpoint,
+/// and the steppable session itself (absent while the scheduler holds it
+/// for a step, and after it finished).
 struct Slot<'s> {
-    id: u64,
+    /// Identity, provenance, the progress and convergence trace published
+    /// after every step, and the terminal result. The trace lets
+    /// `GET /sessions/{id}/trace` work while the session runs and after it
+    /// finished (the session itself is consumed on finish).
+    record: SessionCheckpoint,
     tenant: TenantId,
-    scenario: String,
-    method: String,
-    class: String,
-    slo_ms: f64,
     session: Option<SearchSession<'s>>,
-    phase: Phase,
     want_pause: bool,
     want_cancel: bool,
-    progress: SessionProgress,
-    /// Per-round convergence trace, copied incrementally from the
-    /// session's [`SearchSession::convergence`] after every step so
-    /// `GET /sessions/{id}/trace` works while the session runs and after
-    /// it finished (the session itself is consumed on finish).
-    trace: Vec<RoundPoint>,
-    /// Exact `aarc run --format json` bytes of the winning configuration —
-    /// byte-identical to the offline run of the same spec/method/SLO.
-    report_json: Option<String>,
-    summary: Option<FinalSummary>,
-    error: Option<String>,
 }
 
 /// The session table: every slot the daemon has created, by id, and the
@@ -291,10 +295,10 @@ impl<'s> std::ops::Deref for Sessions<'s> {
 impl<'s> Sessions<'s> {
     /// Adds a slot, to the live set too when its phase is live.
     fn insert(&mut self, slot: Slot<'s>) {
-        if slot.phase.is_live() {
-            self.live.insert(slot.id);
+        if slot.record.phase.is_live() {
+            self.live.insert(slot.record.id);
         }
-        self.slots.insert(slot.id, slot);
+        self.slots.insert(slot.record.id, slot);
     }
 
     /// The live slots, in ascending id order.
@@ -313,24 +317,25 @@ impl<'s> Sessions<'s> {
     /// being stepped, in ascending id order.
     fn runnable(&self) -> Vec<u64> {
         self.live_slots()
-            .filter(|s| s.phase == Phase::Running && s.session.is_some())
-            .map(|s| s.id)
+            .filter(|s| s.record.phase == Phase::Running && s.session.is_some())
+            .map(|s| s.record.id)
             .collect()
     }
 
-    /// Takes session `id` out of its slot for a step, if it is running.
-    fn take_running(&mut self, id: u64) -> Option<SearchSession<'s>> {
+    /// Takes session `id` out of its slot for a step, if it is running,
+    /// with the tenant its evaluations count against.
+    fn take_running(&mut self, id: u64) -> Option<(TenantId, SearchSession<'s>)> {
         let slot = self.slots.get_mut(&id)?;
-        if slot.phase == Phase::Running {
-            slot.session.take()
+        if slot.record.phase == Phase::Running {
+            Some((slot.tenant, slot.session.take()?))
         } else {
             None
         }
     }
 
     /// Publishes one completed step of session `id`: its progress and
-    /// trace go into the slot; a finished session is finalized and leaves
-    /// the live set, any other goes back into its slot.
+    /// trace go into the slot's record; a finished session is finalized
+    /// and leaves the live set, any other goes back into its slot.
     fn settle(
         &mut self,
         id: u64,
@@ -340,11 +345,14 @@ impl<'s> Sessions<'s> {
     ) -> &Slot<'s> {
         let Sessions { slots, live } = self;
         let slot = slots.get_mut(&id).expect("slots are never removed");
-        slot.progress = session.progress().clone();
-        slot.trace
-            .extend_from_slice(&session.convergence()[slot.trace.len()..]);
+        let record = &mut slot.record;
+        record.progress = session.progress().clone();
+        record.rounds = record.progress.rounds;
+        record
+            .trace
+            .extend_from_slice(&session.convergence()[record.trace.len()..]);
         if outcome == SessionState::Finished {
-            finalize_slot(slot, session, telemetry);
+            finalize_record(record, session, telemetry);
             live.remove(&id);
         } else {
             slot.session = Some(session);
@@ -363,12 +371,10 @@ struct ServeState<'s> {
     tenants: TenantRegistry,
     max_live_sessions: usize,
     scenarios: Mutex<BTreeMap<(TenantId, String), ScenarioEntry<'s>>>,
-    /// Per-tenant `(requests, cache hits)` of the fingerprints each tenant
-    /// stopped referencing by deleting scenarios, indexed by [`TenantId`],
-    /// so its `aarc_tenant_eval_*_total` counters never decrease (the
-    /// twin of [`EvalService::unregister`]'s retired total). Locked only
-    /// while holding `scenarios`.
-    retired_eval: Mutex<Vec<(u64, u64)>>,
+    /// Per-tenant `(requests, cache hits)` of the evaluations the tenant's
+    /// sessions requested, indexed by [`TenantId`]: the values of its
+    /// `aarc_tenant_eval_*_total` counters. See [`ServeState::step`].
+    tenant_eval: Mutex<Vec<(u64, u64)>>,
     sessions: Mutex<Sessions<'s>>,
     /// Signalled, under `sessions`, by every event that can give the
     /// parked scheduler work: admission, session controls and shutdown.
@@ -421,7 +427,7 @@ impl<'s> ServeState<'s> {
         ServeState {
             service,
             telemetry,
-            retired_eval: Mutex::new(vec![(0, 0); tenants.all().len()]),
+            tenant_eval: Mutex::new(vec![(0, 0); tenants.all().len()]),
             tenants,
             max_live_sessions,
             scenarios: Mutex::new(BTreeMap::new()),
@@ -466,6 +472,21 @@ impl<'s> ServeState<'s> {
     /// accept loop and the scheduler thread.
     fn drained(&self) -> bool {
         self.shutting_down() && self.live_sessions() == 0
+    }
+
+    /// Steps `session` once and counts the evaluations it requested, and
+    /// the cache hits among them, against `tenant`. The counts are read
+    /// from the session's scenario counters before and after the step,
+    /// which is exact because one thread steps every session: the
+    /// scheduler, and before it recovery's replay.
+    fn step(&self, tenant: TenantId, session: &mut SearchSession<'_>) -> SessionState {
+        let before = session.handle().scenario_stats();
+        let outcome = session.step();
+        let after = session.handle().scenario_stats();
+        let mut eval = self.tenant_eval.lock().expect("tenant eval poisoned");
+        eval[tenant].0 += after.requests - before.requests;
+        eval[tenant].1 += after.cache_hits - before.cache_hits;
+        outcome
     }
 
     /// Counts one authenticated API request against the tenant's
@@ -661,7 +682,7 @@ fn flush_checkpoints(state: &ServeState<'_>) {
     }
     let sessions = state.sessions.lock().expect("session table poisoned");
     for slot in sessions.values() {
-        write_checkpoint(state, &checkpoint_of(state, slot));
+        write_checkpoint(state, &slot.record);
     }
 }
 
@@ -719,9 +740,11 @@ fn step_session(state: &ServeState<'_>, id: u64, outbox: &Outbox) {
         .lock()
         .expect("session table poisoned")
         .take_running(id);
-    let Some(mut session) = taken else { return };
+    let Some((tenant, mut session)) = taken else {
+        return;
+    };
     let step_start = Instant::now();
-    let outcome = session.step();
+    let outcome = state.step(tenant, &mut session);
     let step_ns = step_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     state.telemetry.step_seconds.record_ns(step_ns);
     state.telemetry.flight.record(
@@ -735,14 +758,14 @@ fn step_session(state: &ServeState<'_>, id: u64, outbox: &Outbox) {
     let mut sessions = state.sessions.lock().expect("session table poisoned");
     let slot = sessions.settle(id, session, outcome, state.telemetry);
     // Checkpoint cadence: every Nth completed round, and always at the
-    // terminal phase. The checkpoint is assembled under the lock (cheap
-    // clones) and written by the writer thread, so neither polls nor
+    // terminal phase. The checkpoint is a clone of the slot's record, taken
+    // under the lock and written by the writer thread, so neither polls nor
     // other sessions' steps wait behind an fsync.
-    let rounds = slot.progress.rounds;
+    let rounds = slot.record.rounds;
     let due = state.persist.is_some()
         && (outcome == SessionState::Finished
             || (rounds > 0 && rounds.is_multiple_of(state.checkpoint_every)));
-    let checkpoint = due.then(|| checkpoint_of(state, slot));
+    let checkpoint = due.then(|| slot.record.clone());
     drop(sessions);
     if let Some(checkpoint) = checkpoint {
         outbox.put(checkpoint);
@@ -817,34 +840,6 @@ impl Drop for CloseOutbox<'_> {
 // ---------------------------------------------------------------------------
 // Durable state: checkpoints and startup recovery
 // ---------------------------------------------------------------------------
-
-/// Assembles the durable record of one session slot — identity and
-/// provenance (enough to rebuild the strategy and replay it), the
-/// progress/trace the replay is verified against, and the terminal
-/// result if the session already finished.
-fn checkpoint_of(state: &ServeState<'_>, slot: &Slot<'_>) -> SessionCheckpoint {
-    SessionCheckpoint {
-        v: STATE_VERSION,
-        id: slot.id,
-        tenant: state.tenants.tenant(slot.tenant).name.clone(),
-        scenario: slot.scenario.clone(),
-        method: slot.method.clone(),
-        class: slot.class.clone(),
-        slo_ms: slot.slo_ms,
-        phase: slot.phase.label().to_owned(),
-        rounds: slot.progress.rounds,
-        progress: slot.progress.clone(),
-        trace: slot.trace.clone(),
-        report_json: slot.report_json.clone(),
-        summary: slot.summary.as_ref().map(|s| CheckpointSummary {
-            final_cost: s.final_cost,
-            final_makespan_ms: s.final_makespan_ms,
-            meets_slo: s.meets_slo,
-            samples: s.samples as u64,
-        }),
-        error: slot.error.clone(),
-    }
-}
 
 /// Writes one checkpoint through the state dir, counting and timing the
 /// outcome; a failed write degrades durability, never the session itself.
@@ -947,41 +942,21 @@ fn run_recovery(state: &ServeState<'_>) {
 
     for (path, parsed) in persist.load_checkpoints() {
         report.checkpoints_seen += 1;
-        let quarantined = match parsed {
-            Err(reason) => Some(persist.quarantine(&path, reason)),
-            Ok(checkpoint) => match recover_session(state, &checkpoint) {
-                Ok(live) => {
-                    // The file on disk is this session's last write: the
-                    // state dir's guard must not let a later write
-                    // regress it, nor repeat a terminal one.
-                    persist.adopt_checkpoint(&checkpoint);
-                    if live {
-                        report.sessions_resumed += 1;
-                    } else {
-                        report.sessions_restored += 1;
-                    }
-                    None
-                }
-                Err(reason) => Some(persist.quarantine(&path, reason)),
-            },
-        };
-        if let Some(entry) = quarantined {
-            state.telemetry.flight.record(
-                "recovery_quarantined",
-                vec![
-                    ("file", FieldValue::Str(entry.file.clone())),
-                    ("reason", FieldValue::Str(entry.reason.clone())),
-                ],
-            );
-            state.telemetry.logger.log(
-                LogLevel::Warn,
-                "recovery_quarantined",
-                &[
-                    ("file", FieldValue::Str(entry.file.clone())),
-                    ("reason", FieldValue::Str(entry.reason.clone())),
-                ],
-            );
-            report.quarantined.push(entry);
+        match parsed.and_then(|record| recover_session(state, persist, record)) {
+            Ok(true) => report.sessions_resumed += 1,
+            Ok(false) => report.sessions_restored += 1,
+            Err(reason) => {
+                let entry = persist.quarantine(&path, reason);
+                state.telemetry.event(
+                    LogLevel::Warn,
+                    "recovery_quarantined",
+                    vec![
+                        ("file", FieldValue::Str(entry.file.clone())),
+                        ("reason", FieldValue::Str(entry.reason.clone())),
+                    ],
+                );
+                report.quarantined.push(entry);
+            }
         }
     }
 
@@ -1021,26 +996,19 @@ fn run_recovery(state: &ServeState<'_>) {
         ),
         ("duration_ms", FieldValue::U64(duration_ms)),
     ];
-    state
-        .telemetry
-        .flight
-        .record("recovery_finished", fields.clone());
     let level = if report.quarantined.is_empty() {
         LogLevel::Info
     } else {
         LogLevel::Warn
     };
-    state
-        .telemetry
-        .logger
-        .log(level, "recovery_finished", &fields);
+    state.telemetry.event(level, "recovery_finished", fields);
     *state.recovery.lock().expect("recovery report poisoned") = Some(report);
     state.recovering.store(false, Ordering::SeqCst);
 }
 
 /// Re-registers one persisted scenario: canonical YAML → spec →
 /// validation → compiled workload, inserted under the tenant resolved by
-/// name. Mirrors `upload_scenario` without the HTTP layer.
+/// name.
 fn recover_scenario(state: &ServeState<'_>, scenario: &PersistedScenario) -> Result<(), String> {
     let tenant_id = state.tenant_by_name(&scenario.tenant).ok_or_else(|| {
         format!(
@@ -1048,147 +1016,109 @@ fn recover_scenario(state: &ServeState<'_>, scenario: &PersistedScenario) -> Res
             scenario.tenant
         )
     })?;
-    let (spec, workload) = parse_and_compile(scenario.spec_yaml.as_bytes())
+    let (_, entry) = ScenarioEntry::compile(scenario.spec_yaml.as_bytes())
         .map_err(|(_, message)| format!("persisted spec rejected: {message}"))?;
-    if workload.name() != scenario.scenario {
+    if entry.summary.name != scenario.scenario {
         return Err(format!(
             "persisted spec is named `{}`, expected `{}`",
-            workload.name(),
-            scenario.scenario
+            entry.summary.name, scenario.scenario
         ));
     }
     let mut scenarios = state.scenarios.lock().expect("scenario registry poisoned");
-    scenarios.insert(
-        (tenant_id, scenario.scenario.clone()),
-        ScenarioEntry {
-            functions: spec.functions.len(),
-            edges: spec.edges.len(),
-            slo_ms: workload.slo_ms(),
-            workload,
-            handles: BTreeMap::new(),
-        },
-    );
+    scenarios.insert((tenant_id, scenario.scenario.clone()), entry);
     Ok(())
 }
 
-/// Rebuilds one checkpointed session. Terminal sessions are restored
-/// verbatim (their recorded report/summary/error is the result). Live
-/// sessions are resumed by replay: a fresh strategy is stepped the
-/// checkpointed number of rounds and must reproduce the checkpointed
-/// progress and convergence trace exactly — the determinism contract the
-/// byte-golden suite pins — or the checkpoint is rejected. Returns
-/// whether the session came back live.
-fn recover_session(state: &ServeState<'_>, checkpoint: &SessionCheckpoint) -> Result<bool, String> {
-    let tenant_id = state.tenant_by_name(&checkpoint.tenant).ok_or_else(|| {
-        format!(
-            "tenant `{}` is not in the current registry",
-            checkpoint.tenant
-        )
-    })?;
-    let phase = match checkpoint.phase.as_str() {
-        "running" => Phase::Running,
-        "paused" => Phase::Paused,
-        "finished" => Phase::Finished,
-        "failed" => Phase::Failed,
-        "cancelled" => Phase::Cancelled,
-        other => return Err(format!("unknown phase `{other}`")),
-    };
+/// Rebuilds one checkpointed session, whose checkpoint becomes its slot's
+/// record. Terminal sessions are restored verbatim (their recorded
+/// report/summary/error is the result). Live sessions are resumed by
+/// replay: a fresh strategy is stepped the checkpointed number of rounds
+/// and must reproduce the checkpointed progress and convergence trace
+/// exactly — the determinism contract the byte-golden suite pins — or the
+/// checkpoint is rejected. Returns whether the session came back live.
+fn recover_session(
+    state: &ServeState<'_>,
+    persist: &StateDir,
+    record: SessionCheckpoint,
+) -> Result<bool, String> {
+    let tenant = state
+        .tenant_by_name(&record.tenant)
+        .ok_or_else(|| format!("tenant `{}` is not in the current registry", record.tenant))?;
     {
         let sessions = state.sessions.lock().expect("session table poisoned");
-        if sessions.contains_key(&checkpoint.id) {
-            return Err(format!("duplicate session id {}", checkpoint.id));
+        if sessions.contains_key(&record.id) {
+            return Err(format!("duplicate session id {}", record.id));
         }
     }
-    let session = if phase.is_live() {
-        Some(replay_session(state, tenant_id, checkpoint)?)
+    let live = record.phase.is_live();
+    let session = if live {
+        Some(replay_session(state, tenant, &record)?)
     } else {
         None
     };
-    let live = phase.is_live();
-    let slot = Slot {
-        id: checkpoint.id,
-        tenant: tenant_id,
-        scenario: checkpoint.scenario.clone(),
-        method: checkpoint.method.clone(),
-        class: checkpoint.class.clone(),
-        slo_ms: checkpoint.slo_ms,
-        session,
-        phase,
-        want_pause: phase == Phase::Paused,
-        want_cancel: false,
-        progress: checkpoint.progress.clone(),
-        trace: checkpoint.trace.clone(),
-        report_json: checkpoint.report_json.clone(),
-        summary: checkpoint.summary.as_ref().map(|s| FinalSummary {
-            final_cost: s.final_cost,
-            final_makespan_ms: s.final_makespan_ms,
-            meets_slo: s.meets_slo,
-            samples: s.samples as usize,
-        }),
-        error: checkpoint.error.clone(),
-    };
+    // The file on disk is this session's last write: the state dir's guard
+    // must not let a later write regress it, nor repeat a terminal one.
+    persist.adopt_checkpoint(&record);
+    state.telemetry.flight.record(
+        "recovery_session",
+        vec![
+            ("session", FieldValue::U64(record.id)),
+            ("scenario", FieldValue::Str(record.scenario.clone())),
+            ("phase", FieldValue::Str(record.phase.label().to_owned())),
+            ("rounds", FieldValue::U64(record.rounds)),
+            ("resumed", FieldValue::U64(u64::from(live))),
+        ],
+    );
     state
         .sessions
         .lock()
         .expect("session table poisoned")
-        .insert(slot);
-    state.telemetry.flight.record(
-        "recovery_session",
-        vec![
-            ("session", FieldValue::U64(checkpoint.id)),
-            ("scenario", FieldValue::Str(checkpoint.scenario.clone())),
-            ("phase", FieldValue::Str(checkpoint.phase.clone())),
-            ("rounds", FieldValue::U64(checkpoint.rounds)),
-            ("resumed", FieldValue::U64(u64::from(live))),
-        ],
-    );
+        .insert(Slot {
+            want_pause: record.phase == Phase::Paused,
+            record,
+            tenant,
+            session,
+            want_cancel: false,
+        });
     Ok(live)
 }
 
-/// The replay itself: rebuild the strategy exactly like `start_session`
-/// would, step it `rounds` times, and verify the replayed state matches
-/// the checkpoint bit-for-bit.
+/// The replay itself: rebuild the session the way admission does, step
+/// it `rounds` times, and verify the replayed state matches the
+/// checkpoint bit-for-bit.
 fn replay_session<'s>(
     state: &ServeState<'s>,
-    tenant_id: TenantId,
-    checkpoint: &SessionCheckpoint,
+    tenant: TenantId,
+    record: &SessionCheckpoint,
 ) -> Result<SearchSession<'s>, String> {
     let class =
-        SweepClass::parse(&checkpoint.class).map_err(|e| format!("unknown input class: {e}"))?;
-    let method = methods::build(&checkpoint.method).map_err(|e| format!("unknown method: {e}"))?;
-    let mut scenarios = state.scenarios.lock().expect("scenario registry poisoned");
-    let entry = scenarios
-        .get_mut(&(tenant_id, checkpoint.scenario.clone()))
-        .ok_or_else(|| format!("scenario `{}` was not recovered", checkpoint.scenario))?;
-    let handle = match entry.handles.get(&class.label()) {
-        Some(handle) => handle.clone(),
-        None => {
-            let handle = state.service.register(class.env(entry.workload.env()));
-            entry.handles.insert(class.label(), handle.clone());
-            handle
-        }
+        SweepClass::parse(&record.class).map_err(|e| format!("unknown input class: {e}"))?;
+    let method = methods::build(&record.method).map_err(|e| format!("unknown method: {e}"))?;
+    let mut session = {
+        let mut scenarios = state.scenarios.lock().expect("scenario registry poisoned");
+        let entry = scenarios
+            .get_mut(&(tenant, record.scenario.clone()))
+            .ok_or_else(|| format!("scenario `{}` was not recovered", record.scenario))?;
+        entry
+            .session(state.service, class, method.as_ref(), record.slo_ms)
+            .map_err(|e| format!("cannot rebuild strategy: {e}"))?
     };
-    drop(scenarios);
-    let strategy = method
-        .strategy(handle.env(), checkpoint.slo_ms)
-        .map_err(|e| format!("cannot rebuild strategy: {e}"))?;
-    let mut session = SearchSession::with_slo(strategy, handle, checkpoint.slo_ms);
-    for round in 0..checkpoint.rounds {
-        if session.step() == SessionState::Finished {
+    for round in 0..record.rounds {
+        if state.step(tenant, &mut session) == SessionState::Finished {
             return Err(format!(
                 "replay finished after {} of {} checkpointed rounds",
                 round + 1,
-                checkpoint.rounds
+                record.rounds
             ));
         }
     }
-    if *session.progress() != checkpoint.progress {
+    if *session.progress() != record.progress {
         return Err("replay diverged from the checkpointed progress".to_owned());
     }
-    if session.convergence() != checkpoint.trace.as_slice() {
+    if session.convergence() != record.trace.as_slice() {
         return Err("replay diverged from the checkpointed convergence trace".to_owned());
     }
-    if checkpoint.phase == "paused" {
+    if record.phase == Phase::Paused {
         session.pause();
     }
     Ok(session)
@@ -1197,11 +1127,12 @@ fn replay_session<'s>(
 /// [`apply_controls`] preceded by the shutdown sweep: once the daemon is
 /// draining, a paused (or about-to-pause) session would park forever and
 /// stall the drain, so any pending or applied pause is converted into a
-/// cancellation. Run by the scheduler every round, which also closes the
-/// race where a pause request lands after `/shutdown` swept the table or
-/// while the session was out being stepped.
+/// cancellation. Run by `/shutdown`'s sweep and by the scheduler every
+/// round, which also closes the race where a pause request lands after
+/// `/shutdown` swept the table or while the session was out being stepped.
 fn apply_controls_with_shutdown(slot: &mut Slot<'_>, shutting_down: bool) {
-    if shutting_down && slot.phase.is_live() && (slot.want_pause || slot.phase == Phase::Paused) {
+    let phase = slot.record.phase;
+    if shutting_down && phase.is_live() && (slot.want_pause || phase == Phase::Paused) {
         slot.want_pause = false;
         slot.want_cancel = true;
     }
@@ -1210,7 +1141,8 @@ fn apply_controls_with_shutdown(slot: &mut Slot<'_>, shutting_down: bool) {
 
 /// Applies pending pause/resume/cancel requests to an idle slot.
 fn apply_controls(slot: &mut Slot<'_>) {
-    if !slot.phase.is_live() {
+    let phase = &mut slot.record.phase;
+    if !phase.is_live() {
         return;
     }
     let Some(session) = slot.session.as_mut() else {
@@ -1221,23 +1153,25 @@ fn apply_controls(slot: &mut Slot<'_>) {
         // Un-pause so the next step observes the cancellation and the
         // slot reaches its terminal phase.
         session.resume();
-        slot.phase = Phase::Running;
-    } else if slot.want_pause && slot.phase == Phase::Running {
+        *phase = Phase::Running;
+    } else if slot.want_pause && *phase == Phase::Running {
         session.pause();
-        slot.phase = Phase::Paused;
-    } else if !slot.want_pause && slot.phase == Phase::Paused {
+        *phase = Phase::Paused;
+    } else if !slot.want_pause && *phase == Phase::Paused {
         session.resume();
-        slot.phase = Phase::Running;
+        *phase = Phase::Running;
     }
 }
 
-/// Moves a finished session's outcome into its slot: the final report is
-/// rendered once, as the exact bytes `aarc run --format json` would emit
-/// for the same spec/method/SLO.
-fn finalize_slot(slot: &mut Slot<'_>, session: SearchSession<'_>, telemetry: &ServeTelemetry) {
+/// Moves a finished session's outcome into its record: the final report
+/// is rendered once, as the exact bytes `aarc run --format json` would
+/// emit for the same spec/method/SLO.
+fn finalize_record(
+    record: &mut SessionCheckpoint,
+    session: SearchSession<'_>,
+    telemetry: &ServeTelemetry,
+) {
     let handle = session.handle().clone();
-    slot.trace
-        .extend_from_slice(&session.convergence()[slot.trace.len()..]);
     let outcome = session
         .into_outcome()
         .expect("finalize is only called on finished sessions");
@@ -1247,53 +1181,52 @@ fn finalize_slot(slot: &mut Slot<'_>, session: SearchSession<'_>, telemetry: &Se
                 handle.env(),
                 &outcome.best_configs,
                 &outcome.final_report,
-                Some(slot.slo_ms),
+                Some(record.slo_ms),
             );
             let mut json =
                 serde_json::to_string_pretty(&report).expect("report serialization is infallible");
             json.push('\n');
-            slot.summary = Some(FinalSummary {
+            record.summary = Some(SessionSummary {
                 final_cost: outcome.best_cost(),
                 final_makespan_ms: outcome.best_runtime_ms(),
-                meets_slo: outcome.final_report.meets_slo(slot.slo_ms),
-                samples: outcome.trace.sample_count(),
+                meets_slo: outcome.final_report.meets_slo(record.slo_ms),
+                samples: outcome.trace.sample_count() as u64,
             });
-            slot.report_json = Some(json);
-            slot.phase = Phase::Finished;
+            record.report_json = Some(json);
+            record.phase = Phase::Finished;
         }
         Err(AarcError::SearchCancelled) => {
-            slot.error = Some(AarcError::SearchCancelled.to_string());
-            slot.phase = Phase::Cancelled;
+            record.error = Some(AarcError::SearchCancelled.to_string());
+            record.phase = Phase::Cancelled;
         }
         Err(e) => {
-            slot.error = Some(e.to_string());
-            slot.phase = Phase::Failed;
+            record.error = Some(e.to_string());
+            record.phase = Phase::Failed;
         }
     }
     let mut fields = vec![
-        ("session", FieldValue::U64(slot.id)),
-        ("scenario", FieldValue::Str(slot.scenario.clone())),
-        ("state", FieldValue::Str(slot.phase.label().to_owned())),
-        ("rounds", FieldValue::U64(slot.progress.rounds)),
-        ("evals", FieldValue::U64(slot.progress.evals)),
+        ("session", FieldValue::U64(record.id)),
+        ("scenario", FieldValue::Str(record.scenario.clone())),
+        ("state", FieldValue::Str(record.phase.label().to_owned())),
+        ("rounds", FieldValue::U64(record.progress.rounds)),
+        ("evals", FieldValue::U64(record.progress.evals)),
     ];
-    if let Some(summary) = &slot.summary {
+    if let Some(summary) = &record.summary {
         fields.push(("final_cost", FieldValue::F64(summary.final_cost)));
         fields.push((
             "final_makespan_ms",
             FieldValue::F64(summary.final_makespan_ms),
         ));
     }
-    if let Some(error) = &slot.error {
+    if let Some(error) = &record.error {
         fields.push(("error", FieldValue::Str(error.clone())));
     }
-    telemetry.flight.record("session_finished", fields.clone());
-    let level = if slot.phase == Phase::Failed {
+    let level = if record.phase == Phase::Failed {
         LogLevel::Warn
     } else {
         LogLevel::Info
     };
-    telemetry.logger.log(level, "session_finished", &fields);
+    telemetry.event(level, "session_finished", fields);
 }
 
 /// Serves one connection: read a request, route it, write the response
@@ -1329,19 +1262,21 @@ fn handle_connection(state: &ServeState<'_>, mut stream: TcpStream) {
     let duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     let telemetry = state.telemetry;
     telemetry.http_seconds.record_ns(duration_ns);
-    let fields = vec![
-        ("method", FieldValue::Str(method)),
-        ("path", FieldValue::Str(path)),
-        ("status", FieldValue::U64(u64::from(status))),
-        ("duration_us", FieldValue::U64(duration_ns / 1_000)),
-    ];
-    telemetry.flight.record("http_request", fields.clone());
     let level = if status >= 500 {
         LogLevel::Warn
     } else {
         LogLevel::Info
     };
-    telemetry.logger.log(level, "http_request", &fields);
+    telemetry.event(
+        level,
+        "http_request",
+        vec![
+            ("method", FieldValue::Str(method)),
+            ("path", FieldValue::Str(path)),
+            ("status", FieldValue::U64(u64::from(status))),
+            ("duration_us", FieldValue::U64(duration_ns / 1_000)),
+        ],
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1607,33 +1542,25 @@ struct Page {
 /// [`DEFAULT_PAGE_LIMIT`] and is clamped into `[1, MAX_PAGE_LIMIT]`;
 /// `offset` defaults to 0. Non-numeric values are a 400 problem.
 fn parse_page(request: &Request, instance: &str) -> Result<Page, Response> {
-    let limit = match request.query_param("limit") {
-        None => DEFAULT_PAGE_LIMIT,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(value) => value.clamp(1, MAX_PAGE_LIMIT),
-            Err(_) => {
-                return Err(problem(
-                    Kind::BadRequest,
-                    format!("limit `{raw}` is not a non-negative integer"),
-                    instance,
-                ))
-            }
-        },
-    };
-    let offset = match request.query_param("offset") {
-        None => 0,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(value) => value,
-            Err(_) => {
-                return Err(problem(
-                    Kind::BadRequest,
-                    format!("offset `{raw}` is not a non-negative integer"),
-                    instance,
-                ))
-            }
-        },
-    };
+    let limit = query_count(request, "limit", instance)?
+        .map_or(DEFAULT_PAGE_LIMIT, |limit| limit.clamp(1, MAX_PAGE_LIMIT));
+    let offset = query_count(request, "offset", instance)?.unwrap_or(0);
     Ok(Page { limit, offset })
+}
+
+/// The non-negative integer query parameter `name`, `None` when absent; any
+/// other value is a 400 problem.
+fn query_count(request: &Request, name: &str, instance: &str) -> Result<Option<usize>, Response> {
+    let Some(raw) = request.query_param(name) else {
+        return Ok(None);
+    };
+    raw.parse().map(Some).map_err(|_| {
+        problem(
+            Kind::BadRequest,
+            format!("{name} `{raw}` is not a non-negative integer"),
+            instance,
+        )
+    })
 }
 
 /// Renders the `{items, total, next_offset}` pagination envelope over the
@@ -1665,7 +1592,7 @@ fn page_envelope<T: Serialize>(rows: &[T], page: &Page) -> Response {
 // Scenario endpoints
 // ---------------------------------------------------------------------------
 
-/// Row of the `GET /scenarios` listing.
+/// Row of the `GET /scenarios` listing, and the `POST /scenarios` reply.
 #[derive(Debug, Serialize)]
 struct ScenarioSummary {
     name: String,
@@ -1688,26 +1615,13 @@ fn list_scenarios(
     };
     let filter = request.query_param("name");
     let scenarios = state.scenarios.lock().expect("scenario registry poisoned");
-    let rows: Vec<ScenarioSummary> = scenarios
+    let rows: Vec<&ScenarioSummary> = scenarios
         .iter()
         .filter(|((tenant, _), _)| *tenant == tenant_id)
         .filter(|((_, name), _)| filter.is_none_or(|f| name.contains(f)))
-        .map(|((_, name), e)| ScenarioSummary {
-            name: name.clone(),
-            functions: e.functions,
-            edges: e.edges,
-            slo_ms: e.slo_ms,
-        })
+        .map(|(_, entry)| &entry.summary)
         .collect();
     page_envelope(&rows, &page)
-}
-
-#[derive(Debug, Serialize)]
-struct UploadReply {
-    name: String,
-    functions: usize,
-    edges: usize,
-    slo_ms: f64,
 }
 
 /// `POST /scenarios`: parse the body in memory (YAML or JSON, sniffed),
@@ -1723,11 +1637,11 @@ fn upload_scenario(
     if state.shutting_down() {
         return state.refuse_during_shutdown(&tenant.name, instance);
     }
-    let (spec, workload) = match parse_and_compile(body) {
-        Ok(pair) => pair,
+    let (spec, entry) = match ScenarioEntry::compile(body) {
+        Ok(compiled) => compiled,
         Err((kind, message)) => return problem(kind, message, instance),
     };
-    let name = workload.name().to_owned();
+    let name = entry.summary.name.clone();
     // Names become URL path segments, JSON string values and Prometheus
     // label values; restrict them to a safe alphabet up front so every
     // later rendering is trivially well-formed.
@@ -1793,35 +1707,21 @@ fn upload_scenario(
             );
         }
     }
-    let reply = UploadReply {
-        name: name.clone(),
-        functions: spec.functions.len(),
-        edges: spec.edges.len(),
-        slo_ms: workload.slo_ms(),
-    };
-    scenarios.insert(
-        (tenant_id, name),
-        ScenarioEntry {
-            functions: spec.functions.len(),
-            edges: spec.edges.len(),
-            slo_ms: workload.slo_ms(),
-            workload,
-            handles: BTreeMap::new(),
-        },
+    let summary = &entry.summary;
+    let reply = json_response(201, summary);
+    state.telemetry.event(
+        LogLevel::Info,
+        "scenario_registered",
+        vec![
+            ("scenario", FieldValue::Str(name.clone())),
+            ("tenant", FieldValue::Str(tenant.name.clone())),
+            ("functions", FieldValue::U64(summary.functions as u64)),
+            ("edges", FieldValue::U64(summary.edges as u64)),
+            ("slo_ms", FieldValue::F64(summary.slo_ms)),
+        ],
     );
-    let fields = vec![
-        ("scenario", FieldValue::Str(reply.name.clone())),
-        ("tenant", FieldValue::Str(tenant.name.clone())),
-        ("functions", FieldValue::U64(reply.functions as u64)),
-        ("edges", FieldValue::U64(reply.edges as u64)),
-        ("slo_ms", FieldValue::F64(reply.slo_ms)),
-    ];
-    state
-        .telemetry
-        .flight
-        .record("scenario_registered", fields.clone());
-    state.telemetry.logger.info("scenario_registered", &fields);
-    json_response(201, &reply)
+    scenarios.insert((tenant_id, name), entry);
+    reply
 }
 
 #[derive(Debug, Serialize)]
@@ -1836,41 +1736,26 @@ struct ValidateReply {
 /// `POST /scenarios/validate`: parse + validate + compile without
 /// admitting anything.
 fn validate_scenario(body: &[u8], instance: &str) -> Response {
-    match parse_and_compile(body) {
-        Ok((spec, workload)) => json_response(
+    match ScenarioEntry::compile(body) {
+        Ok((_, ScenarioEntry { summary, .. })) => json_response(
             200,
             &ValidateReply {
                 valid: true,
-                name: workload.name().to_owned(),
-                functions: spec.functions.len(),
-                edges: spec.edges.len(),
-                slo_ms: workload.slo_ms(),
+                name: summary.name,
+                functions: summary.functions,
+                edges: summary.edges,
+                slo_ms: summary.slo_ms,
             },
         ),
         Err((kind, message)) => problem(kind, message, instance),
     }
 }
 
-/// The shared upload/validate pipeline: bytes → spec → semantic
-/// validation → compiled workload. All in memory. An unparseable body is
-/// a 400 ([`Kind::BadRequest`]); a body that parsed but failed semantic
-/// validation or compilation is a 422 ([`Kind::ValidationFailed`]).
-fn parse_and_compile(body: &[u8]) -> Result<(ScenarioSpec, Workload), (Kind, String)> {
-    let spec = ScenarioSpec::from_slice(body).map_err(|e| (Kind::BadRequest, e.to_string()))?;
-    validate(&spec).map_err(|e| (Kind::ValidationFailed, e.to_string()))?;
-    let workload = aarc_spec::compile(&spec)
-        .map_err(|e| (Kind::ValidationFailed, e.to_string()))?
-        .into_workload();
-    Ok((spec, workload))
-}
-
 /// `DELETE /scenarios/{name}`: refuse while the tenant has live sessions
 /// on the scenario; otherwise drop it from the tenant's namespace. A
 /// fingerprint is only unregistered from the service (purging its cache
 /// entries) when no other entry — of any tenant — still references it:
-/// the memo-cache is shared substrate below the namespaces. The totals of
-/// a fingerprint the tenant no longer references move to its retired
-/// tally, so its `aarc_tenant_eval_*_total` counters never decrease.
+/// the memo-cache is shared substrate below the namespaces.
 fn delete_scenario(
     state: &ServeState<'_>,
     tenant_id: TenantId,
@@ -1890,7 +1775,7 @@ fn delete_scenario(
         let sessions = state.sessions.lock().expect("session table poisoned");
         let live = sessions
             .live_slots()
-            .filter(|s| s.tenant == tenant_id && s.scenario == name)
+            .filter(|s| s.tenant == tenant_id && s.record.scenario == name)
             .count();
         if live > 0 {
             return problem(
@@ -1921,42 +1806,29 @@ fn delete_scenario(
         }
     }
     let entry = scenarios.remove(&key).expect("checked above");
-    // Two input classes can share one environment, hence one fingerprint:
-    // each fingerprint is retired once.
-    let released: BTreeMap<u64, &ScenarioHandle<'_>> = entry
-        .handles
-        .values()
-        .map(|h| (h.fingerprint(), h))
-        .collect();
-    for (&fingerprint, handle) in &released {
-        let holders: Vec<TenantId> = scenarios
-            .iter()
-            .filter(|(_, e)| e.handles.values().any(|h| h.fingerprint() == fingerprint))
-            .map(|((tenant, _), _)| *tenant)
-            .collect();
-        if !holders.contains(&tenant_id) {
-            let stats = handle.scenario_stats();
-            let mut retired = state.retired_eval.lock().expect("retired eval poisoned");
-            retired[tenant_id].0 += stats.requests;
-            retired[tenant_id].1 += stats.cache_hits;
-        }
-        if holders.is_empty() {
+    for handle in entry.handles.values() {
+        let fingerprint = handle.fingerprint();
+        let held = scenarios
+            .values()
+            .any(|e| e.handles.values().any(|h| h.fingerprint() == fingerprint));
+        // Two input classes can share one environment, hence one
+        // fingerprint: the second unregister finds nothing to remove.
+        if !held {
             state.service.unregister(fingerprint);
         }
     }
-    let fields = vec![
-        ("scenario", FieldValue::Str(name.to_owned())),
-        (
-            "tenant",
-            FieldValue::Str(state.tenants.tenant(tenant_id).name.clone()),
-        ),
-        ("classes", FieldValue::U64(entry.handles.len() as u64)),
-    ];
-    state
-        .telemetry
-        .flight
-        .record("scenario_deleted", fields.clone());
-    state.telemetry.logger.info("scenario_deleted", &fields);
+    state.telemetry.event(
+        LogLevel::Info,
+        "scenario_deleted",
+        vec![
+            ("scenario", FieldValue::Str(name.to_owned())),
+            (
+                "tenant",
+                FieldValue::Str(state.tenants.tenant(tenant_id).name.clone()),
+            ),
+            ("classes", FieldValue::U64(entry.handles.len() as u64)),
+        ],
+    );
     #[derive(Serialize)]
     struct DeleteReply {
         deleted: String,
@@ -2045,6 +1917,8 @@ fn start_session(
         Err(message) => return problem(Kind::ValidationFailed, message, instance),
     };
 
+    // The scenarios lock is held until the session is admitted, so a
+    // concurrent delete cannot slip in between.
     let mut scenarios = state.scenarios.lock().expect("scenario registry poisoned");
     let Some(entry) = scenarios.get_mut(&(tenant_id, body.scenario.clone())) else {
         return problem(
@@ -2053,17 +1927,9 @@ fn start_session(
             instance,
         );
     };
-    let slo_ms = body.slo_ms.unwrap_or(entry.slo_ms);
-    let handle = match entry.handles.get(&class.label()) {
-        Some(handle) => handle.clone(),
-        None => {
-            let handle = state.service.register(class.env(entry.workload.env()));
-            entry.handles.insert(class.label(), handle.clone());
-            handle
-        }
-    };
-    let strategy = match method.strategy(handle.env(), slo_ms) {
-        Ok(strategy) => strategy,
+    let slo_ms = body.slo_ms.unwrap_or(entry.summary.slo_ms);
+    let mut session = match entry.session(state.service, class, method.as_ref(), slo_ms) {
+        Ok(session) => session,
         Err(e) => {
             return problem(
                 Kind::ValidationFailed,
@@ -2072,7 +1938,6 @@ fn start_session(
             )
         }
     };
-    let mut session = SearchSession::with_slo(strategy, handle, slo_ms);
     let start_paused = body.paused.unwrap_or(false);
     if start_paused {
         session.pause();
@@ -2114,21 +1979,20 @@ fn start_session(
         .response(instance);
     }
     let id = state.next_session_id.fetch_add(1, Ordering::SeqCst);
-    let slot = Slot {
+    let record = SessionCheckpoint {
+        v: STATE_VERSION,
         id,
-        tenant: tenant_id,
-        scenario: body.scenario.clone(),
+        tenant: tenant.name.clone(),
+        scenario: body.scenario,
         method: method_name,
         class: class.label(),
         slo_ms,
-        session: Some(session),
         phase: if start_paused {
             Phase::Paused
         } else {
             Phase::Running
         },
-        want_pause: start_paused,
-        want_cancel: false,
+        rounds: 0,
         progress: SessionProgress::default(),
         trace: Vec::new(),
         report_json: None,
@@ -2137,29 +2001,34 @@ fn start_session(
     };
     let reply = StartSessionReply {
         id,
-        scenario: slot.scenario.clone(),
-        method: slot.method.clone(),
-        class: slot.class.clone(),
+        scenario: record.scenario.clone(),
+        method: record.method.clone(),
+        class: record.class.clone(),
         slo_ms,
-        state: slot.phase.label().to_owned(),
+        state: record.phase.label().to_owned(),
     };
-    sessions.insert(slot);
+    sessions.insert(Slot {
+        record,
+        tenant: tenant_id,
+        session: Some(session),
+        want_pause: start_paused,
+        want_cancel: false,
+    });
     drop(sessions);
     drop(scenarios);
     state.wake_scheduler.notify_one();
-    let fields = vec![
-        ("session", FieldValue::U64(id)),
-        ("tenant", FieldValue::Str(tenant.name.clone())),
-        ("scenario", FieldValue::Str(reply.scenario.clone())),
-        ("method", FieldValue::Str(reply.method.clone())),
-        ("class", FieldValue::Str(reply.class.clone())),
-        ("slo_ms", FieldValue::F64(slo_ms)),
-    ];
-    state
-        .telemetry
-        .flight
-        .record("session_started", fields.clone());
-    state.telemetry.logger.info("session_started", &fields);
+    state.telemetry.event(
+        LogLevel::Info,
+        "session_started",
+        vec![
+            ("session", FieldValue::U64(id)),
+            ("tenant", FieldValue::Str(tenant.name.clone())),
+            ("scenario", FieldValue::Str(reply.scenario.clone())),
+            ("method", FieldValue::Str(reply.method.clone())),
+            ("class", FieldValue::Str(reply.class.clone())),
+            ("slo_ms", FieldValue::F64(slo_ms)),
+        ],
+    );
     json_response(201, &reply)
 }
 
@@ -2176,24 +2045,25 @@ struct SessionStatus {
     rounds: u64,
     evals: u64,
     incumbent: Option<aarc_core::Incumbent>,
-    summary: Option<FinalSummary>,
+    summary: Option<SessionSummary>,
     error: Option<String>,
 }
 
 impl SessionStatus {
     fn of(slot: &Slot<'_>) -> Self {
+        let record = &slot.record;
         SessionStatus {
-            id: slot.id,
-            scenario: slot.scenario.clone(),
-            method: slot.method.clone(),
-            class: slot.class.clone(),
-            slo_ms: slot.slo_ms,
-            state: slot.phase.label().to_owned(),
-            rounds: slot.progress.rounds,
-            evals: slot.progress.evals,
-            incumbent: slot.progress.incumbent.clone(),
-            summary: slot.summary.clone(),
-            error: slot.error.clone(),
+            id: record.id,
+            scenario: record.scenario.clone(),
+            method: record.method.clone(),
+            class: record.class.clone(),
+            slo_ms: record.slo_ms,
+            state: record.phase.label().to_owned(),
+            rounds: record.progress.rounds,
+            evals: record.progress.evals,
+            incumbent: record.progress.incumbent.clone(),
+            summary: record.summary.clone(),
+            error: record.error.clone(),
         }
     }
 }
@@ -2213,19 +2083,19 @@ fn list_sessions(
     };
     let status = match request.query_param("status") {
         None => None,
-        Some(raw) => {
-            if !PHASE_LABELS.contains(&raw) {
+        Some(raw) => match Phase::parse(raw) {
+            Some(phase) => Some(phase),
+            None => {
                 return problem(
                     Kind::BadRequest,
                     format!(
                         "unknown status filter `{raw}` (expected one of {})",
-                        PHASE_LABELS.join("|")
+                        Phase::ALL.map(Phase::label).join("|")
                     ),
                     instance,
-                );
+                )
             }
-            Some(raw)
-        }
+        },
     };
     let scenario = request
         .query_param("scenario")
@@ -2234,8 +2104,8 @@ fn list_sessions(
     let rows: Vec<SessionStatus> = sessions
         .values()
         .filter(|s| s.tenant == tenant_id)
-        .filter(|s| status.is_none_or(|wanted| s.phase.label() == wanted))
-        .filter(|s| scenario.is_none_or(|wanted| s.scenario == wanted))
+        .filter(|s| status.is_none_or(|wanted| s.record.phase == wanted))
+        .filter(|s| scenario.is_none_or(|wanted| s.record.scenario == wanted))
         .map(SessionStatus::of)
         .collect();
     page_envelope(&rows, &page)
@@ -2266,10 +2136,12 @@ fn session_report(
     let Some(slot) = sessions.get(&id).filter(|s| s.tenant == tenant_id) else {
         return problem(Kind::NotFound, format!("no session {id}"), instance);
     };
-    match slot.phase {
+    let record = &slot.record;
+    match record.phase {
         Phase::Finished => Response::json(
             200,
-            slot.report_json
+            record
+                .report_json
                 .clone()
                 .expect("finished sessions store their report"),
         ),
@@ -2277,7 +2149,7 @@ fn session_report(
             Kind::Conflict,
             format!(
                 "session {id} failed: {}",
-                slot.error.as_deref().unwrap_or("unknown error")
+                record.error.as_deref().unwrap_or("unknown error")
             ),
             instance,
         ),
@@ -2288,7 +2160,7 @@ fn session_report(
         ),
         Phase::Running | Phase::Paused => problem(
             Kind::Conflict,
-            format!("session {id} is still {}", slot.phase.label()),
+            format!("session {id} is still {}", record.phase.label()),
             instance,
         ),
     }
@@ -2313,15 +2185,16 @@ fn session_trace(state: &ServeState<'_>, tenant_id: TenantId, id: u64, instance:
     let Some(slot) = sessions.get(&id).filter(|s| s.tenant == tenant_id) else {
         return problem(Kind::NotFound, format!("no session {id}"), instance);
     };
+    let record = &slot.record;
     json_response(
         200,
         &TraceReply {
-            id: slot.id,
-            scenario: slot.scenario.clone(),
-            method: slot.method.clone(),
-            class: slot.class.clone(),
-            state: slot.phase.label().to_owned(),
-            rounds: slot.trace.clone(),
+            id: record.id,
+            scenario: record.scenario.clone(),
+            method: record.method.clone(),
+            class: record.class.clone(),
+            state: record.phase.label().to_owned(),
+            rounds: record.trace.clone(),
         },
     )
 }
@@ -2330,18 +2203,9 @@ fn session_trace(state: &ServeState<'_>, tenant_id: TenantId, id: u64, instance:
 /// events, oldest first). `limit` defaults to 64 and is capped at the
 /// ring's capacity.
 fn debug_events(state: &ServeState<'_>, request: &Request, instance: &str) -> Response {
-    let limit = match request.query_param("limit") {
-        None => DEFAULT_EVENT_LIMIT,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(limit) => limit.min(FLIGHT_CAPACITY),
-            Err(_) => {
-                return problem(
-                    Kind::BadRequest,
-                    format!("limit `{raw}` is not a non-negative integer"),
-                    instance,
-                )
-            }
-        },
+    let limit = match query_count(request, "limit", instance) {
+        Ok(limit) => limit.map_or(DEFAULT_EVENT_LIMIT, |limit| limit.min(FLIGHT_CAPACITY)),
+        Err(response) => return response,
     };
     let flight = &state.telemetry.flight;
     let events = flight.tail(limit);
@@ -2371,10 +2235,11 @@ fn control_session(
     else {
         return problem(Kind::NotFound, format!("no session {id}"), instance);
     };
-    if !slot.phase.is_live() {
+    let phase = slot.record.phase;
+    if !phase.is_live() {
         return problem(
             Kind::Conflict,
-            format!("session {id} already {}", slot.phase.label()),
+            format!("session {id} already {}", phase.label()),
             instance,
         );
     }
@@ -2441,19 +2306,10 @@ fn recovery_status(state: &ServeState<'_>) -> Response {
 fn request_shutdown(state: &ServeState<'_>) -> Response {
     state.shutdown.store(true, Ordering::SeqCst);
     let mut sessions = state.sessions.lock().expect("session table poisoned");
-    sessions.for_each_live(|slot| {
-        if slot.phase == Phase::Paused || slot.want_pause {
-            slot.want_pause = false;
-            slot.want_cancel = true;
-            apply_controls(slot);
-        }
-    });
+    sessions.for_each_live(|slot| apply_controls_with_shutdown(slot, true));
     let draining = sessions.live.len();
     let checkpoints: Vec<SessionCheckpoint> = if state.persist.is_some() {
-        sessions
-            .live_slots()
-            .map(|s| checkpoint_of(state, s))
-            .collect()
+        sessions.live_slots().map(|s| s.record.clone()).collect()
     } else {
         Vec::new()
     };
@@ -2485,31 +2341,35 @@ fn plain<V>(name: &str, help: &str, value: V) -> FamilySnapshot<V> {
     family(name, help, vec![(Labels::default(), value)])
 }
 
-/// A per-session gauge family: name, help, and the value a slot
-/// contributes (`None`: the session has no series in the family).
-type SessionFamily = (&'static str, &'static str, fn(&Slot<'_>) -> Option<f64>);
+/// A per-session gauge family: name, help, and the value a session's
+/// progress contributes (`None`: the session has no series in the family).
+type SessionFamily = (
+    &'static str,
+    &'static str,
+    fn(&SessionProgress) -> Option<f64>,
+);
 
 /// The per-session families, in exposition order.
 const SESSION_FAMILIES: [SessionFamily; 4] = [
     (
         "aarc_session_rounds",
         "Completed ask/evaluate/tell rounds of the session.",
-        |slot| Some(slot.progress.rounds as f64),
+        |progress| Some(progress.rounds as f64),
     ),
     (
         "aarc_session_evals",
         "Candidate evaluations consumed by the session.",
-        |slot| Some(slot.progress.evals as f64),
+        |progress| Some(progress.evals as f64),
     ),
     (
         "aarc_session_incumbent_cost",
         "Cost of the session's best configuration so far.",
-        |slot| slot.progress.incumbent.as_ref().map(|i| i.cost),
+        |progress| progress.incumbent.as_ref().map(|i| i.cost),
     ),
     (
         "aarc_session_incumbent_makespan_ms",
         "End-to-end makespan of the session's best configuration, ms.",
-        |slot| slot.progress.incumbent.as_ref().map(|i| i.makespan_ms),
+        |progress| progress.incumbent.as_ref().map(|i| i.makespan_ms),
     ),
 ];
 
@@ -2611,28 +2471,20 @@ fn write_metrics(state: &ServeState<'_>, out: &mut impl fmt::Write) -> fmt::Resu
 
     // Per-tenant registry views, computed under the scenarios lock (lock
     // order: scenarios before sessions, matching every other handler).
-    // Each tenant only ever sees eval traffic over its own scenarios'
-    // fingerprints, plus the retired totals of fingerprints it deleted.
     let tenants = state.tenants.all();
     let mut tenant_scenarios = vec![0u64; tenants.len()];
-    let mut tenant_fingerprints = vec![std::collections::BTreeSet::new(); tenants.len()];
-    let (scenario_count, mut tenant_eval) = {
+    let scenario_count = {
         let scenarios = state.scenarios.lock().expect("scenario registry poisoned");
-        for ((tenant, _), entry) in scenarios.iter() {
+        for (tenant, _) in scenarios.keys() {
             tenant_scenarios[*tenant] += 1;
-            tenant_fingerprints[*tenant].extend(entry.handles.values().map(|h| h.fingerprint()));
         }
-        let retired = state.retired_eval.lock().expect("retired eval poisoned");
-        (scenarios.len(), retired.clone())
+        scenarios.len()
     };
-    for stats in &snapshot.scenarios {
-        for (tenant, fingerprints) in tenant_fingerprints.iter().enumerate() {
-            if fingerprints.contains(&stats.fingerprint) {
-                tenant_eval[tenant].0 += stats.requests;
-                tenant_eval[tenant].1 += stats.cache_hits;
-            }
-        }
-    }
+    let tenant_eval = state
+        .tenant_eval
+        .lock()
+        .expect("tenant eval poisoned")
+        .clone();
 
     for (name, help, value) in [
         (
@@ -2747,12 +2599,12 @@ fn write_metrics(state: &ServeState<'_>, out: &mut impl fmt::Write) -> fmt::Resu
     for (name, help, values) in [
         (
             "aarc_tenant_eval_requests_total",
-            "Candidate evaluations over the tenant's registered scenarios.",
+            "Candidate evaluations requested by the tenant's sessions.",
             tenant_eval.iter().map(|e| e.0).collect::<Vec<_>>(),
         ),
         (
             "aarc_tenant_eval_cache_hits_total",
-            "Memo-cache hits over the tenant's registered scenarios.",
+            "Memo-cache hits among the evaluations requested by the tenant's sessions.",
             tenant_eval.iter().map(|e| e.1).collect(),
         ),
     ] {
@@ -2809,7 +2661,10 @@ fn write_session_family(
             let mut slots = sessions.range((lower, Bound::Unbounded));
             for (&id, slot) in slots.by_ref().take(SCRAPE_PAGE_SESSIONS) {
                 after = Some(id);
-                let Some(value) = value(slot) else { continue };
+                let record = &slot.record;
+                let Some(value) = value(&record.progress) else {
+                    continue;
+                };
                 if !announced {
                     prom::write_header(page, name, help, "gauge")?;
                     announced = true;
@@ -2819,10 +2674,10 @@ fn write_session_family(
                     &mut labels,
                     &[
                         ("session", &id.to_string()),
-                        ("scenario", &slot.scenario),
-                        ("method", &slot.method),
-                        ("class", &slot.class),
-                        ("state", slot.phase.label()),
+                        ("scenario", &record.scenario),
+                        ("method", &record.method),
+                        ("class", &record.class),
+                        ("state", record.phase.label()),
                         ("tenant", &tenants[slot.tenant].name),
                     ],
                 )?;
@@ -2943,6 +2798,19 @@ mod tests {
         }
     }
 
+    /// Steps session `id` once if it is running, the way the scheduler
+    /// does, and returns the state after the step.
+    fn step_once(state: &ServeState<'_>, id: u64) -> Option<SessionState> {
+        let (tenant, mut session) = state.sessions.lock().unwrap().take_running(id)?;
+        let outcome = state.step(tenant, &mut session);
+        state
+            .sessions
+            .lock()
+            .unwrap()
+            .settle(id, session, outcome, state.telemetry);
+        Some(outcome)
+    }
+
     /// Drives the router directly (no sockets) with a manual scheduler:
     /// steps every live session to completion between requests, exactly
     /// like the scheduler thread would.
@@ -2953,14 +2821,7 @@ mod tests {
                 break;
             }
             for id in runnable {
-                let taken = state.sessions.lock().unwrap().take_running(id);
-                let Some(mut session) = taken else { continue };
-                let outcome = session.step();
-                state
-                    .sessions
-                    .lock()
-                    .unwrap()
-                    .settle(id, session, outcome, state.telemetry);
+                step_once(state, id);
             }
         }
     }
@@ -3852,6 +3713,68 @@ mod tests {
         assert_eq!(after, before);
     }
 
+    /// Each tenant's eval counters count its own sessions' evaluations,
+    /// also when tenants share a fingerprint and one of them deletes the
+    /// scenario and uploads it again.
+    #[test]
+    fn tenant_eval_counters_count_the_tenants_own_sessions() {
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        let registry = TenantRegistry::from_file_contents(
+            "tenants:\n  - name: alpha\n    api_key: ka\n  - name: beta\n    api_key: kb\n",
+        )
+        .unwrap();
+        let state = ServeState::new(
+            &service,
+            &telemetry,
+            registry,
+            DEFAULT_MAX_LIVE_SESSIONS,
+            None,
+            crate::state::DEFAULT_CHECKPOINT_EVERY,
+        );
+        let call = |method: &str, path: &str, key: &str, body: &[u8]| {
+            route(&state, &keyed_request(method, path, key, body))
+        };
+        let upload = |key: &str| {
+            let reply = call("POST", "/api/v1/scenarios", key, &chatbot_yaml());
+            assert_eq!(reply.status, 201, "{}", reply.body);
+        };
+        // Runs one session to completion and returns its evaluations.
+        let run_session = |key: &str| {
+            let body = b"{\"scenario\": \"chatbot\", \"method\": \"random\"}";
+            let started = call("POST", "/api/v1/sessions", key, body);
+            assert_eq!(started.status, 201, "{}", started.body);
+            drain_sessions(&state);
+            let id = uint(field(&serde_json::parse(&started.body).unwrap(), "id"));
+            let status = call("GET", &format!("/api/v1/sessions/{id}"), key, b"");
+            uint(field(&serde_json::parse(&status.body).unwrap(), "evals"))
+        };
+        upload("ka");
+        upload("kb");
+        let mut alpha_evals = run_session("ka");
+        let beta_evals = run_session("kb");
+        let deleted = call("DELETE", "/api/v1/scenarios/chatbot", "ka", b"");
+        assert_eq!(deleted.status, 200, "{}", deleted.body);
+        upload("ka");
+        alpha_evals += run_session("ka");
+
+        let body = route(&state, &request("GET", "/metrics", b"")).body;
+        let requests = |tenant: &str| {
+            sample(
+                &body,
+                &format!("aarc_tenant_eval_requests_total{{tenant=\"{tenant}\"}}"),
+            )
+        };
+        let (alpha, beta) = (requests("alpha"), requests("beta"));
+        assert_eq!(alpha + beta, sample(&body, "aarc_eval_requests_total"));
+        assert_eq!((alpha, beta), (alpha_evals, beta_evals));
+        // Beta repeated alpha's search on the shared memo-cache.
+        assert_eq!(
+            sample(&body, "aarc_tenant_eval_cache_hits_total{tenant=\"beta\"}"),
+            beta
+        );
+    }
+
     #[test]
     fn version_endpoint_reports_build_provenance() {
         let service = EvalService::with_threads(1);
@@ -3944,7 +3867,7 @@ mod tests {
         // last point agrees with the session's final progress.
         let progress = {
             let sessions = state.sessions.lock().unwrap();
-            sessions[&1].progress.clone()
+            sessions[&1].record.progress.clone()
         };
         let last = rounds.last().unwrap();
         assert_eq!(uint(field(last, "round")), progress.rounds);
@@ -4198,18 +4121,11 @@ mod tests {
     /// mirroring one scheduler round per step.
     fn step_rounds(state: &ServeState<'_>, id: u64, rounds: u64) {
         for _ in 0..rounds {
-            let mut session = state.sessions.lock().unwrap().take_running(id).unwrap();
-            let outcome = session.step();
             assert_eq!(
-                outcome,
-                SessionState::Running,
+                step_once(state, id),
+                Some(SessionState::Running),
                 "session finished prematurely"
             );
-            state
-                .sessions
-                .lock()
-                .unwrap()
-                .settle(id, session, outcome, state.telemetry);
         }
     }
 
@@ -4337,10 +4253,7 @@ mod tests {
                 &request("POST", "/sessions", b"{\"scenario\": \"chatbot\"}"),
             );
             step_rounds(&state, 1, 3);
-            let checkpoint = {
-                let sessions = state.sessions.lock().unwrap();
-                checkpoint_of(&state, &sessions[&1])
-            };
+            let checkpoint = state.sessions.lock().unwrap()[&1].record.clone();
             write_checkpoint(&state, &checkpoint);
         }
 
@@ -4354,8 +4267,8 @@ mod tests {
         {
             let sessions = state.sessions.lock().unwrap();
             let slot = &sessions[&1];
-            assert_eq!(slot.phase, Phase::Running);
-            assert_eq!(slot.progress.rounds, 3, "resumed at the checkpoint");
+            assert_eq!(slot.record.phase, Phase::Running);
+            assert_eq!(slot.record.rounds, 3, "resumed at the checkpoint");
         }
         drain_sessions(&state);
         let resumed = route(&state, &request("GET", "/sessions/1/report", b""));
@@ -4383,10 +4296,7 @@ mod tests {
             drain_sessions(&state);
             // The terminal checkpoint the scheduler (or the final drain
             // flush) would write.
-            let checkpoint = {
-                let sessions = state.sessions.lock().unwrap();
-                checkpoint_of(&state, &sessions[&1])
-            };
+            let checkpoint = state.sessions.lock().unwrap()[&1].record.clone();
             write_checkpoint(&state, &checkpoint);
             route(&state, &request("GET", "/sessions/1/report", b"")).body
         };
@@ -4406,6 +4316,45 @@ mod tests {
         assert_eq!(started.status, 201, "{}", started.body);
         assert!(started.body.contains("\"id\": 2"), "{}", started.body);
         drain_sessions(&state);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The temp file a crash left between a checkpoint write's fsync and
+    /// its rename, here holding an older live checkpoint, neither shadows
+    /// the session's terminal checkpoint nor is quarantined.
+    #[test]
+    fn an_orphaned_temp_file_does_not_shadow_its_checkpoint() {
+        let dir = temp_state_dir("orphan-temp");
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        let reference = {
+            let state = persisted_state(&service, &telemetry, &dir, 1_000_000);
+            run_recovery(&state);
+            route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
+            route(
+                &state,
+                &request("POST", "/sessions", b"{\"scenario\": \"chatbot\"}"),
+            );
+            step_rounds(&state, 1, 3);
+            let older = state.sessions.lock().unwrap()[&1].record.clone();
+            drain_sessions(&state);
+            let finished = state.sessions.lock().unwrap()[&1].record.clone();
+            write_checkpoint(&state, &finished);
+            let mut text = serde_json::to_string_pretty(&older).unwrap();
+            text.push('\n');
+            let orphan = dir.join("checkpoints/.session-0000000001.json.9.0.tmp");
+            std::fs::write(orphan, text).unwrap();
+            route(&state, &request("GET", "/sessions/1/report", b"")).body
+        };
+        let state = persisted_state(&service, &telemetry, &dir, 1_000_000);
+        run_recovery(&state);
+        let report = state.recovery.lock().unwrap().clone().unwrap();
+        assert_eq!(report.sessions_restored, 1, "{report:?}");
+        assert_eq!(report.sessions_resumed, 0, "{report:?}");
+        assert!(report.quarantined.is_empty(), "{report:?}");
+        let restored = route(&state, &request("GET", "/sessions/1/report", b""));
+        assert_eq!(restored.status, 200, "{}", restored.body);
+        assert_eq!(restored.body, reference, "restored report bytes");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -4508,8 +4457,8 @@ mod tests {
             let path = dir.join(format!("checkpoints/session-{id:010}.json"));
             let text = std::fs::read_to_string(&path).unwrap();
             let checkpoint: SessionCheckpoint = serde_json::from_str(&text).unwrap();
-            assert_eq!(checkpoint.phase, "finished", "session {id}");
-            assert_eq!(checkpoint.rounds, slot.progress.rounds, "session {id}");
+            assert_eq!(checkpoint, slot.record, "session {id}");
+            assert_eq!(checkpoint.phase, Phase::Finished, "session {id}");
             assert!(checkpoint.report_json.is_some(), "session {id}");
         }
         drop(sessions);
@@ -4657,31 +4606,27 @@ mod tests {
         {
             let mut sessions = state.sessions.lock().unwrap();
             let first = &sessions[&1];
-            assert_eq!(first.phase, Phase::Finished);
-            let (tenant, progress) = (first.tenant, first.progress.clone());
-            let (scenario, method, class) = (
-                first.scenario.clone(),
-                first.method.clone(),
-                first.class.clone(),
+            assert_eq!(first.record.phase, Phase::Finished);
+            assert!(
+                first.record.progress.incumbent.is_some(),
+                "a finished search has one"
             );
-            assert!(progress.incumbent.is_some(), "a finished search has one");
+            let tenant = first.tenant;
+            let record = SessionCheckpoint {
+                trace: Vec::new(),
+                report_json: None,
+                ..first.record.clone()
+            };
             for id in 2..=SESSIONS {
                 sessions.insert(Slot {
-                    id,
+                    record: SessionCheckpoint {
+                        id,
+                        ..record.clone()
+                    },
                     tenant,
-                    scenario: scenario.clone(),
-                    method: method.clone(),
-                    class: class.clone(),
-                    slo_ms: 1_000.0,
                     session: None,
-                    phase: Phase::Finished,
                     want_pause: false,
                     want_cancel: false,
-                    progress: progress.clone(),
-                    trace: Vec::new(),
-                    report_json: None,
-                    summary: None,
-                    error: None,
                 });
             }
         }

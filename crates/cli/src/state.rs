@@ -91,19 +91,78 @@ pub struct RegistrySnapshot {
     pub scenarios: Vec<PersistedScenario>,
 }
 
-/// Terminal summary embedded in a finished session's checkpoint
-/// (mirrors the serve layer's session summary document).
+/// Observable lifecycle phase of a served session. It is stored in the
+/// session's checkpoint, and serves as the `status=` list filter, by its
+/// label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    Running,
+    Paused,
+    Finished,
+    Failed,
+    Cancelled,
+}
+
+impl Phase {
+    /// Every phase, in the order the `status=` filter names them.
+    pub const ALL: [Phase; 5] = [
+        Phase::Running,
+        Phase::Paused,
+        Phase::Finished,
+        Phase::Failed,
+        Phase::Cancelled,
+    ];
+
+    /// The label the phase is stored and filtered by.
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::Running => "running",
+            Phase::Paused => "paused",
+            Phase::Finished => "finished",
+            Phase::Failed => "failed",
+            Phase::Cancelled => "cancelled",
+        }
+    }
+
+    /// The phase a label names, if any.
+    pub fn parse(label: &str) -> Option<Phase> {
+        Phase::ALL.into_iter().find(|phase| phase.label() == label)
+    }
+
+    /// Whether the session still occupies the scheduler.
+    pub fn is_live(self) -> bool {
+        matches!(self, Phase::Running | Phase::Paused)
+    }
+}
+
+impl Serialize for Phase {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Str(self.label().to_owned())
+    }
+}
+
+impl Deserialize for Phase {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let label = String::from_value(value)?;
+        Phase::parse(&label)
+            .ok_or_else(|| serde::DeError::custom(format!("unknown phase `{label}`")))
+    }
+}
+
+/// The result of a finished session, in its status document and its
+/// checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointSummary {
+pub struct SessionSummary {
     pub final_cost: f64,
     pub final_makespan_ms: f64,
     pub meets_slo: bool,
     pub samples: u64,
 }
 
-/// One session's durable state: identity + provenance (enough to rebuild
-/// the strategy and replay it) + the progress/trace the replay is
-/// verified against + the terminal result, if any.
+/// One session's record, held by its scheduler slot and written as its
+/// checkpoint: identity + provenance (enough to rebuild the strategy and
+/// replay it) + the progress/trace the replay is verified against + the
+/// terminal result, if any.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
     /// Format version ([`STATE_VERSION`]).
@@ -115,8 +174,7 @@ pub struct SessionCheckpoint {
     pub method: String,
     pub class: String,
     pub slo_ms: f64,
-    /// Phase label (`running`/`paused`/`finished`/`failed`/`cancelled`).
-    pub phase: String,
+    pub phase: Phase,
     /// Completed rounds — the number of steps recovery replays.
     pub rounds: u64,
     /// Progress snapshot at checkpoint time; the replay must reproduce
@@ -129,7 +187,7 @@ pub struct SessionCheckpoint {
     #[serde(default)]
     pub report_json: Option<String>,
     #[serde(default)]
-    pub summary: Option<CheckpointSummary>,
+    pub summary: Option<SessionSummary>,
     #[serde(default)]
     pub error: Option<String>,
 }
@@ -138,7 +196,7 @@ impl SessionCheckpoint {
     /// Whether the session had reached a terminal phase (`finished`,
     /// `failed` or `cancelled`) when this checkpoint was taken.
     pub fn is_terminal(&self) -> bool {
-        matches!(self.phase.as_str(), "finished" | "failed" | "cancelled")
+        !self.phase.is_live()
     }
 }
 
@@ -400,6 +458,11 @@ impl StateDir {
     /// order. Each entry is the file path plus either the parsed
     /// checkpoint or the reason it could not be used — the caller
     /// decides whether to replay or [`quarantine`](Self::quarantine).
+    ///
+    /// Only `session-<id>.json` names are checkpoints: the rename is a
+    /// write's commit point, so the temp file a crash left behind between
+    /// [`atomic_write`]'s fsync and its rename is no checkpoint, and is
+    /// not read.
     pub fn load_checkpoints(&self) -> Vec<(PathBuf, Result<SessionCheckpoint, String>)> {
         let Ok(entries) = std::fs::read_dir(self.checkpoints_dir()) else {
             return Vec::new();
@@ -407,7 +470,7 @@ impl StateDir {
         let mut paths: Vec<PathBuf> = entries
             .filter_map(|e| e.ok())
             .map(|e| e.path())
-            .filter(|p| p.is_file())
+            .filter(|p| p.is_file() && is_checkpoint_name(p))
             .collect();
         paths.sort();
         paths
@@ -475,6 +538,17 @@ impl StateDir {
     }
 }
 
+/// Whether `path` is named like a committed checkpoint, `session-<id>.json`.
+fn is_checkpoint_name(path: &Path) -> bool {
+    path.file_name()
+        .and_then(|name| {
+            name.to_str()?
+                .strip_prefix("session-")?
+                .strip_suffix(".json")
+        })
+        .is_some_and(|id| !id.is_empty() && id.bytes().all(|b| b.is_ascii_digit()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +589,7 @@ mod tests {
             method: "aarc".to_owned(),
             class: "nominal".to_owned(),
             slo_ms: 900.0,
-            phase: "running".to_owned(),
+            phase: Phase::Running,
             rounds: 3,
             progress: SessionProgress {
                 rounds: 3,
@@ -674,6 +748,61 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// Checkpoints an earlier build of the daemon wrote: a live one from a
+    /// `kill -9` mid-search and a finished one. Each parses, is written
+    /// back to the same bytes and loads from a state dir, so renaming,
+    /// reordering or re-typing a checkpoint field fails here.
+    #[test]
+    fn committed_checkpoints_parse_and_rewrite_byte_for_byte() {
+        for (tag, text, terminal) in [
+            (
+                "fixture-live",
+                include_str!("../tests/fixtures/checkpoint-live.json"),
+                false,
+            ),
+            (
+                "fixture-finished",
+                include_str!("../tests/fixtures/checkpoint-finished.json"),
+                true,
+            ),
+        ] {
+            let root = temp_state_dir(tag);
+            let state = StateDir::open(&root).unwrap();
+            let parsed: SessionCheckpoint = serde_json::from_str(text).unwrap();
+            assert_eq!(parsed.is_terminal(), terminal, "{tag}");
+            assert!(state.write_checkpoint(&parsed).unwrap());
+            let path = root.join(format!("checkpoints/session-{:010}.json", parsed.id));
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "{tag}");
+            let loaded = state.load_checkpoints();
+            assert_eq!(loaded.len(), 1, "{tag}");
+            assert_eq!(loaded[0].1.as_ref().unwrap(), &parsed, "{tag}");
+            std::fs::remove_dir_all(&root).ok();
+        }
+    }
+
+    /// A temp file that a crash left beside a checkpoint is not read: only
+    /// the rename commits a write.
+    #[test]
+    fn orphaned_temp_files_are_not_checkpoints() {
+        let root = temp_state_dir("orphan");
+        let state = StateDir::open(&root).unwrap();
+        let mut finished = checkpoint(1);
+        finished.phase = Phase::Finished;
+        state.write_checkpoint(&finished).unwrap();
+        let older = serde_json::to_string_pretty(&checkpoint(1)).unwrap();
+        for name in [
+            ".session-0000000001.json.9.0.tmp",
+            "session-.json",
+            "notes.txt",
+        ] {
+            std::fs::write(root.join("checkpoints").join(name), &older).unwrap();
+        }
+        let loaded = state.load_checkpoints();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].1.as_ref().unwrap(), &finished);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn stale_checkpoints_never_replace_newer_ones() {
         let root = temp_state_dir("monotone");
@@ -692,13 +821,13 @@ mod tests {
         assert_eq!(stored().rounds, 9);
         // Equal rounds refresh (e.g. a pause between two rounds).
         let mut paused = newer.clone();
-        paused.phase = "paused".to_owned();
+        paused.phase = Phase::Paused;
         assert!(state.write_checkpoint(&paused).unwrap());
         // A terminal checkpoint wins over everything non-terminal after it,
         // even with more rounds.
         let mut finished = newer.clone();
         finished.rounds = 12;
-        finished.phase = "finished".to_owned();
+        finished.phase = Phase::Finished;
         finished.report_json = Some("{}\n".to_owned());
         assert!(state.write_checkpoint(&finished).unwrap());
         let mut late_running = newer.clone();
@@ -715,7 +844,7 @@ mod tests {
         let root = temp_state_dir("terminal-once");
         let state = StateDir::open(&root).unwrap();
         let mut finished = checkpoint(3);
-        finished.phase = "finished".to_owned();
+        finished.phase = Phase::Finished;
         finished.report_json = Some("{}\n".to_owned());
         // The first terminal write fails: the checkpoints directory is a
         // file for now.
@@ -738,7 +867,7 @@ mod tests {
         let root = temp_state_dir("adopt");
         let state = StateDir::open(&root).unwrap();
         let mut finished = checkpoint(1);
-        finished.phase = "cancelled".to_owned();
+        finished.phase = Phase::Cancelled;
         state.adopt_checkpoint(&finished);
         assert!(!state.write_checkpoint(&finished).unwrap());
         let mut live = checkpoint(2);

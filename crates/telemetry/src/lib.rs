@@ -12,8 +12,6 @@
 //!   commutative integer arithmetic, so merged snapshots are independent
 //!   of thread interleaving, and the [`Recorder`] registry snapshots in
 //!   deterministic (name-sorted) order.
-//! * [`span`] — [`Span`], a monotonic-clock stopwatch that records its
-//!   elapsed time into a histogram when finished.
 //! * [`flight`] — [`FlightRecorder`], a bounded ring buffer of recent
 //!   structured [`Event`]s (the daemon's black box, served from
 //!   `GET /debug/events`).
@@ -43,7 +41,6 @@ mod json;
 pub mod log;
 pub mod metrics;
 pub mod prom;
-pub mod span;
 
 pub use build::{build_info, BuildInfo};
 pub use flight::{events_json, Event, FieldValue, FlightRecorder};
@@ -52,4 +49,3 @@ pub use metrics::{
     Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, Labels, Recorder,
     RecorderSnapshot, BUCKET_BOUNDS_NS,
 };
-pub use span::Span;
