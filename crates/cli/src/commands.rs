@@ -87,36 +87,47 @@ USAGE:
 METHODS: aarc (graph-centric scheduler), bo (Bayesian optimization),
          maff (coupled gradient descent), random (uniform sampling)
 
-All flags also accept --flag=value. Candidate executions go through the
-shared evaluation service: --threads N fans batches out over N workers
-(results are bit-identical for any N) and a fingerprint-keyed memo-cache
+All flags also accept --flag=value, and `aarc <subcommand> --help` (or
+-h) prints this text. Candidate executions go through the shared
+evaluation service: --threads N fans batches out over N workers (results
+are bit-identical for any N) and a fingerprint-keyed memo-cache
 short-circuits repeated simulations across methods, input classes and
 scenarios. --threads defaults to the host's available parallelism when
 omitted and must be at least 1.
 ";
 
-/// Runs the subcommand named by `argv[0]`.
+/// Runs the subcommand named by `argv[0]`; a `--help` or `-h` anywhere
+/// after it prints the usage instead of running it.
 ///
 /// # Errors
 ///
 /// Returns a user-facing message; `main` prints it and exits non-zero.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
-    match argv.first().map(String::as_str) {
-        Some("validate") => cmd_validate(&argv[1..]),
-        Some("run") => cmd_run(&argv[1..]),
-        Some("compare") => cmd_compare(&argv[1..]),
-        Some("sweep") => cmd_sweep(&argv[1..]),
-        Some("bench") => cmd_bench(&argv[1..]),
-        Some("serve") => cmd_serve(&argv[1..]),
-        Some("loadtest") => cmd_loadtest(&argv[1..]),
-        Some("export-builtin") => cmd_export_builtin(&argv[1..]),
-        Some("generate") => cmd_generate(&argv[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown subcommand `{other}`\n\n{USAGE}")),
+    let (name, rest) = argv
+        .split_first()
+        .map_or(("help", argv), |(name, rest)| (name.as_str(), rest));
+    let command: fn(&[String]) -> Result<(), String> = match name {
+        "validate" => cmd_validate,
+        "run" => cmd_run,
+        "compare" => cmd_compare,
+        "sweep" => cmd_sweep,
+        "bench" => cmd_bench,
+        "serve" => cmd_serve,
+        "loadtest" => cmd_loadtest,
+        "export-builtin" => cmd_export_builtin,
+        "generate" => cmd_generate,
+        "help" | "--help" | "-h" => print_usage,
+        other => return Err(format!("unknown subcommand `{other}`\n\n{USAGE}")),
+    };
+    if rest.iter().any(|arg| arg == "--help" || arg == "-h") {
+        return print_usage(rest);
     }
+    command(rest)
+}
+
+fn print_usage(_: &[String]) -> Result<(), String> {
+    print!("{USAGE}");
+    Ok(())
 }
 
 fn write_or_print(text: &str, out: Option<&str>) -> Result<(), String> {

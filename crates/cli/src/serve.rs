@@ -52,9 +52,9 @@ use std::io::{self, BufWriter, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::Bound;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize, Value};
@@ -65,7 +65,7 @@ use aarc_core::{
     AarcError, ConfigurationSearch, RoundPoint, SearchSession, SessionProgress, SessionState,
 };
 use aarc_simulator::{EvalService, EvalTelemetry, ScenarioHandle};
-use aarc_spec::{validate, ScenarioSpec};
+use aarc_spec::ScenarioSpec;
 use aarc_telemetry::{
     events_json, prom, FamilySnapshot, FieldValue, FlightRecorder, Histogram, Labels, LogLevel,
     Logger, Recorder, RecorderSnapshot,
@@ -213,11 +213,11 @@ impl<'s> ScenarioEntry<'s> {
     /// validation → compiled workload, all in memory. An unparseable body
     /// is a 400 ([`Kind::BadRequest`]); a body that parsed but failed
     /// semantic validation or compilation is a 422
-    /// ([`Kind::ValidationFailed`]). The spec comes back too, for the
+    /// ([`Kind::ValidationFailed`]) carrying the validator's error, which
+    /// [`aarc_spec::compile`] runs first. The spec comes back too, for the
     /// write-ahead log.
     fn compile(body: &[u8]) -> Result<(ScenarioSpec, Self), (Kind, String)> {
         let spec = ScenarioSpec::from_slice(body).map_err(|e| (Kind::BadRequest, e.to_string()))?;
-        validate(&spec).map_err(|e| (Kind::ValidationFailed, e.to_string()))?;
         let workload = aarc_spec::compile(&spec)
             .map_err(|e| (Kind::ValidationFailed, e.to_string()))?
             .into_workload();
@@ -259,14 +259,16 @@ impl<'s> ScenarioEntry<'s> {
 /// and the steppable session itself (absent while the scheduler holds it
 /// for a step, and after it finished).
 struct Slot<'s> {
-    /// Identity, provenance, the progress and convergence trace published
-    /// after every step, and the terminal result. The trace lets
+    /// Identity, provenance, the phase (the only pause state), the
+    /// progress and convergence trace published after every step, and the
+    /// terminal result. The trace lets
     /// `GET /sessions/{id}/trace` work while the session runs and after it
     /// finished (the session itself is consumed on finish).
     record: SessionCheckpoint,
     tenant: TenantId,
     session: Option<SearchSession<'s>>,
-    want_pause: bool,
+    /// A cancellation [`apply_controls`] has yet to hand to the session,
+    /// the only one that can finish with `SearchCancelled`.
     want_cancel: bool,
 }
 
@@ -333,9 +335,10 @@ impl<'s> Sessions<'s> {
         }
     }
 
-    /// Publishes one completed step of session `id`: its progress and
-    /// trace go into the slot's record; a finished session is finalized
-    /// and leaves the live set, any other goes back into its slot.
+    /// Publishes one completed step of session `id`: its progress goes into
+    /// the slot's record, and a round that returned `Running` adds its
+    /// trace point; a finished session is finalized and leaves the live
+    /// set, any other goes back into its slot.
     fn settle(
         &mut self,
         id: u64,
@@ -348,13 +351,11 @@ impl<'s> Sessions<'s> {
         let record = &mut slot.record;
         record.progress = session.progress().clone();
         record.rounds = record.progress.rounds;
-        record
-            .trace
-            .extend_from_slice(&session.convergence()[record.trace.len()..]);
         if outcome == SessionState::Finished {
             finalize_record(record, session, telemetry);
             live.remove(&id);
         } else {
+            record.trace.push(RoundPoint::after(&record.progress));
             slot.session = Some(session);
         }
         slot
@@ -379,18 +380,14 @@ struct ServeState<'s> {
     /// Signalled, under `sessions`, by every event that can give the
     /// parked scheduler work: admission, session controls and shutdown.
     wake_scheduler: Condvar,
-    next_session_id: AtomicU64,
     shutdown: AtomicBool,
     /// Durable state, when `--state-dir` was given.
     persist: Option<StateDir>,
     /// Checkpoint cadence in completed rounds.
     checkpoint_every: u64,
-    /// True from boot until startup recovery has finished replaying the
-    /// WAL and checkpoints; tenant routes answer 503 `recovering`
-    /// meanwhile (operator endpoints stay up).
-    recovering: AtomicBool,
-    /// The outcome of startup recovery, served at `GET /api/v1/recovery`.
-    recovery: Mutex<Option<RecoveryReport>>,
+    /// The outcome of startup recovery, served at `GET /api/v1/recovery`;
+    /// set once, when recovery finished (see [`ServeState::recovering`]).
+    recovery: OnceLock<RecoveryReport>,
 }
 
 /// What startup recovery did, kept for the lifetime of the daemon and
@@ -423,7 +420,6 @@ impl<'s> ServeState<'s> {
         persist: Option<StateDir>,
         checkpoint_every: u64,
     ) -> Self {
-        let recovering = persist.is_some();
         ServeState {
             service,
             telemetry,
@@ -433,12 +429,10 @@ impl<'s> ServeState<'s> {
             scenarios: Mutex::new(BTreeMap::new()),
             sessions: Mutex::new(Sessions::default()),
             wake_scheduler: Condvar::new(),
-            next_session_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             persist,
             checkpoint_every,
-            recovering: AtomicBool::new(recovering),
-            recovery: Mutex::new(None),
+            recovery: OnceLock::new(),
         }
     }
 
@@ -446,9 +440,10 @@ impl<'s> ServeState<'s> {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Whether startup recovery is still replaying durable state.
+    /// Whether startup recovery is still replaying durable state (its
+    /// report is not set yet); tenant routes answer 503 `recovering`.
     fn recovering(&self) -> bool {
-        self.recovering.load(Ordering::SeqCst)
+        self.persist.is_some() && self.recovery.get().is_none()
     }
 
     /// Resolves a persisted tenant name back to the id of the current
@@ -687,7 +682,7 @@ fn flush_checkpoints(state: &ServeState<'_>) {
 }
 
 /// The session scheduler: round-robins one [`SearchSession::step`] per
-/// running session per pass, in ascending id order, applying pause/cancel
+/// running session per pass, in ascending id order, applying cancel
 /// requests between steps, until shutdown has drained every session.
 /// Stepping happens outside the session-table lock, so status polls are
 /// never blocked behind a long batch. While no session can be stepped the
@@ -717,7 +712,7 @@ fn next_pass(state: &ServeState<'_>) -> Option<Vec<u64>> {
     let mut sessions = state.sessions.lock().expect("session table poisoned");
     loop {
         let shutting_down = state.shutting_down();
-        sessions.for_each_live(|slot| apply_controls_with_shutdown(slot, shutting_down));
+        sessions.for_each_live(|slot| apply_controls(slot, shutting_down));
         let runnable = sessions.runnable();
         if !runnable.is_empty() {
             return Some(runnable);
@@ -897,7 +892,6 @@ fn write_checkpoint(state: &ServeState<'_>, checkpoint: &SessionCheckpoint) {
 /// tenant routes answer 503 `recovering`.
 fn run_recovery(state: &ServeState<'_>) {
     let Some(persist) = &state.persist else {
-        state.recovering.store(false, Ordering::SeqCst);
         return;
     };
     let started = Instant::now();
@@ -960,17 +954,6 @@ fn run_recovery(state: &ServeState<'_>) {
         }
     }
 
-    // Session ids must keep growing past every recovered id, so resumed
-    // and new sessions never collide.
-    let max_recovered = {
-        let sessions = state.sessions.lock().expect("session table poisoned");
-        sessions.keys().next_back().copied().unwrap_or(0)
-    };
-    let next = state.next_session_id.load(Ordering::SeqCst);
-    state
-        .next_session_id
-        .store(next.max(max_recovered + 1), Ordering::SeqCst);
-
     let duration_ms = started.elapsed().as_millis().min(u64::MAX as u128) as u64;
     let fields = vec![
         (
@@ -1002,8 +985,10 @@ fn run_recovery(state: &ServeState<'_>) {
         LogLevel::Warn
     };
     state.telemetry.event(level, "recovery_finished", fields);
-    *state.recovery.lock().expect("recovery report poisoned") = Some(report);
-    state.recovering.store(false, Ordering::SeqCst);
+    state
+        .recovery
+        .set(report)
+        .expect("recovery runs once per daemon");
 }
 
 /// Re-registers one persisted scenario: canonical YAML → spec →
@@ -1074,7 +1059,6 @@ fn recover_session(
         .lock()
         .expect("session table poisoned")
         .insert(Slot {
-            want_pause: record.phase == Phase::Paused,
             record,
             tenant,
             session,
@@ -1084,8 +1068,9 @@ fn recover_session(
 }
 
 /// The replay itself: rebuild the session the way admission does, step
-/// it `rounds` times, and verify the replayed state matches the
-/// checkpoint bit-for-bit.
+/// it `rounds` times, and verify the replayed progress and trace match the
+/// checkpoint bit-for-bit. A paused checkpoint stays paused: its phase is
+/// the slot's.
 fn replay_session<'s>(
     state: &ServeState<'s>,
     tenant: TenantId,
@@ -1103,6 +1088,7 @@ fn replay_session<'s>(
             .session(state.service, class, method.as_ref(), record.slo_ms)
             .map_err(|e| format!("cannot rebuild strategy: {e}"))?
     };
+    let mut trace = Vec::with_capacity(record.trace.len());
     for round in 0..record.rounds {
         if state.step(tenant, &mut session) == SessionState::Finished {
             return Err(format!(
@@ -1111,55 +1097,34 @@ fn replay_session<'s>(
                 record.rounds
             ));
         }
+        trace.push(RoundPoint::after(session.progress()));
     }
     if *session.progress() != record.progress {
         return Err("replay diverged from the checkpointed progress".to_owned());
     }
-    if session.convergence() != record.trace.as_slice() {
+    if trace != record.trace {
         return Err("replay diverged from the checkpointed convergence trace".to_owned());
-    }
-    if record.phase == Phase::Paused {
-        session.pause();
     }
     Ok(session)
 }
 
-/// [`apply_controls`] preceded by the shutdown sweep: once the daemon is
-/// draining, a paused (or about-to-pause) session would park forever and
-/// stall the drain, so any pending or applied pause is converted into a
-/// cancellation. Run by `/shutdown`'s sweep and by the scheduler every
-/// round, which also closes the race where a pause request lands after
-/// `/shutdown` swept the table or while the session was out being stepped.
-fn apply_controls_with_shutdown(slot: &mut Slot<'_>, shutting_down: bool) {
-    let phase = slot.record.phase;
-    if shutting_down && phase.is_live() && (slot.want_pause || phase == Phase::Paused) {
-        slot.want_pause = false;
+/// Hands a pending cancellation to a live slot's session and makes the slot
+/// running, so its next step observes the cancellation and the slot
+/// reaches its terminal phase. Once the daemon is draining, a paused
+/// session would park forever and stall the drain, so its pause becomes a
+/// cancellation: `/shutdown` sweeps every live slot, and the scheduler
+/// does so every pass.
+fn apply_controls(slot: &mut Slot<'_>, shutting_down: bool) {
+    if shutting_down && slot.record.phase == Phase::Paused {
         slot.want_cancel = true;
     }
-    apply_controls(slot);
-}
-
-/// Applies pending pause/resume/cancel requests to an idle slot.
-fn apply_controls(slot: &mut Slot<'_>) {
-    let phase = &mut slot.record.phase;
-    if !phase.is_live() {
+    if !slot.want_cancel || !slot.record.phase.is_live() {
         return;
     }
-    let Some(session) = slot.session.as_mut() else {
-        return; // being stepped right now; re-applied next round
-    };
-    if slot.want_cancel {
+    // A session out being stepped gets it at the next pass.
+    if let Some(session) = slot.session.as_mut() {
         session.cancel();
-        // Un-pause so the next step observes the cancellation and the
-        // slot reaches its terminal phase.
-        session.resume();
-        *phase = Phase::Running;
-    } else if slot.want_pause && *phase == Phase::Running {
-        session.pause();
-        *phase = Phase::Paused;
-    } else if !slot.want_pause && *phase == Phase::Paused {
-        session.resume();
-        *phase = Phase::Running;
+        slot.record.phase = Phase::Running;
     }
 }
 
@@ -1928,7 +1893,7 @@ fn start_session(
         );
     };
     let slo_ms = body.slo_ms.unwrap_or(entry.summary.slo_ms);
-    let mut session = match entry.session(state.service, class, method.as_ref(), slo_ms) {
+    let session = match entry.session(state.service, class, method.as_ref(), slo_ms) {
         Ok(session) => session,
         Err(e) => {
             return problem(
@@ -1938,10 +1903,6 @@ fn start_session(
             )
         }
     };
-    let start_paused = body.paused.unwrap_or(false);
-    if start_paused {
-        session.pause();
-    }
 
     let mut sessions = state.sessions.lock().expect("session table poisoned");
     // Checked again under the lock the scheduler decides a drain under, so
@@ -1978,7 +1939,8 @@ fn start_session(
         .retry_after(1)
         .response(instance);
     }
-    let id = state.next_session_id.fetch_add(1, Ordering::SeqCst);
+    // Slots are never removed, so one past the last id is a new one.
+    let id = sessions.keys().next_back().map_or(1, |last| last + 1);
     let record = SessionCheckpoint {
         v: STATE_VERSION,
         id,
@@ -1987,7 +1949,7 @@ fn start_session(
         method: method_name,
         class: class.label(),
         slo_ms,
-        phase: if start_paused {
+        phase: if body.paused.unwrap_or(false) {
             Phase::Paused
         } else {
             Phase::Running
@@ -2011,7 +1973,6 @@ fn start_session(
         record,
         tenant: tenant_id,
         session: Some(session),
-        want_pause: start_paused,
         want_cancel: false,
     });
     drop(sessions);
@@ -2218,8 +2179,9 @@ fn debug_events(state: &ServeState<'_>, request: &Request, instance: &str) -> Re
     Response::json(200, body)
 }
 
-/// `POST /sessions/{id}/pause|resume|cancel`: record the request and wake
-/// the scheduler, which applies it between steps.
+/// `POST /sessions/{id}/pause|resume|cancel`: pause and resume set the
+/// phase at once (a step under way completes first); cancel reaches the
+/// session when it is in its slot. Either way the scheduler is woken.
 fn control_session(
     state: &ServeState<'_>,
     tenant_id: TenantId,
@@ -2254,12 +2216,12 @@ fn control_session(
             .retry_after(1)
             .response(instance)
         }
-        "pause" => slot.want_pause = true,
-        "resume" => slot.want_pause = false,
+        "pause" => slot.record.phase = Phase::Paused,
+        "resume" => slot.record.phase = Phase::Running,
         "cancel" => slot.want_cancel = true,
         _ => unreachable!("router only passes pause/resume/cancel"),
     }
-    apply_controls(slot);
+    apply_controls(slot, state.shutting_down());
     let reply = json_response(200, &SessionStatus::of(slot));
     drop(sessions);
     state.wake_scheduler.notify_one();
@@ -2277,11 +2239,6 @@ fn recovery_status(state: &ServeState<'_>) -> Response {
         in_progress: bool,
         report: Option<RecoveryReport>,
     }
-    let report = state
-        .recovery
-        .lock()
-        .expect("recovery report poisoned")
-        .clone();
     json_response(
         200,
         &RecoveryStatusDoc {
@@ -2291,7 +2248,7 @@ fn recovery_status(state: &ServeState<'_>) -> Response {
                 .as_ref()
                 .map(|p| p.root().display().to_string()),
             in_progress: state.recovering(),
-            report,
+            report: state.recovery.get().cloned(),
         },
     )
 }
@@ -2306,7 +2263,7 @@ fn recovery_status(state: &ServeState<'_>) -> Response {
 fn request_shutdown(state: &ServeState<'_>) -> Response {
     state.shutdown.store(true, Ordering::SeqCst);
     let mut sessions = state.sessions.lock().expect("session table poisoned");
-    sessions.for_each_live(|slot| apply_controls_with_shutdown(slot, true));
+    sessions.for_each_live(|slot| apply_controls(slot, true));
     let draining = sessions.live.len();
     let checkpoints: Vec<SessionCheckpoint> = if state.persist.is_some() {
         sessions.live_slots().map(|s| s.record.clone()).collect()
@@ -2535,8 +2492,7 @@ fn write_metrics(state: &ServeState<'_>, out: &mut impl fmt::Write) -> fmt::Resu
             "1 while startup recovery is replaying durable state, 0 after.",
             if state.recovering() { 1.0 } else { 0.0 },
         ));
-        let recovery = state.recovery.lock().expect("recovery report poisoned");
-        if let Some(report) = recovery.as_ref() {
+        if let Some(report) = state.recovery.get() {
             for (name, help, value) in [
                 (
                     "aarc_recovery_wal_records_applied",
@@ -2811,6 +2767,34 @@ mod tests {
         Some(outcome)
     }
 
+    /// The bytes `aarc run --format json` prints for the anonymous tenant's
+    /// scenario `name` searched by `method` at the scenario's SLO: the same
+    /// strategy driven by `SearchDriver::run` on a private service.
+    fn offline_report(state: &ServeState<'_>, name: &str, method: &str) -> String {
+        let workload = {
+            let anonymous = state.tenants.resolve(None).unwrap();
+            let scenarios = state.scenarios.lock().unwrap();
+            scenarios[&(anonymous, name.to_owned())].workload.clone()
+        };
+        let offline_service = EvalService::with_threads(2);
+        let outcome = methods::build(method)
+            .unwrap()
+            .search_on(
+                &offline_service.register(workload.env().clone()),
+                workload.slo_ms(),
+            )
+            .unwrap();
+        let offline = ConfigurationReport::new(
+            workload.env(),
+            &outcome.best_configs,
+            &outcome.final_report,
+            Some(workload.slo_ms()),
+        );
+        let mut json = serde_json::to_string_pretty(&offline).unwrap();
+        json.push('\n');
+        json
+    }
+
     /// Drives the router directly (no sockets) with a manual scheduler:
     /// steps every live session to completion between requests, exactly
     /// like the scheduler thread would.
@@ -3008,6 +2992,19 @@ mod tests {
         // Validation never admits anything.
         let listed = route(&state, &request("GET", "/scenarios", b""));
         assert!(!listed.body.contains("chatbot"));
+        // A spec that parses but fails semantic validation is a 422 whose
+        // detail is the validator's whole issue list.
+        let invalid = String::from_utf8(chatbot_yaml())
+            .unwrap()
+            .replace("slo_ms: 120000.0", "slo_ms: -1.0")
+            .replace("- name: split", "- name: start");
+        let spec = ScenarioSpec::from_slice(invalid.as_bytes()).unwrap();
+        let expected = aarc_spec::validate(&spec).unwrap_err().to_string();
+        for path in ["/scenarios", "/scenarios/validate"] {
+            let rejected = route(&state, &request("POST", path, invalid.as_bytes()));
+            let doc = assert_problem(&rejected, 422);
+            assert_eq!(field(&doc, "detail").as_str(), Some(expected.as_str()));
+        }
     }
 
     #[test]
@@ -3176,34 +3173,9 @@ mod tests {
 
         let report = route(&state, &request("GET", "/sessions/1/report", b""));
         assert_eq!(report.status, 200);
-
-        // Bit-identical to the offline path: same strategy driven by
-        // SearchDriver::run on a private service.
-        let workload = {
-            let anonymous = state.tenants.resolve(None).unwrap();
-            let scenarios = state.scenarios.lock().unwrap();
-            scenarios[&(anonymous, "chatbot".to_owned())]
-                .workload
-                .clone()
-        };
-        let method = methods::build("aarc").unwrap();
-        let offline_service = EvalService::with_threads(2);
-        let outcome = method
-            .search_on(
-                &offline_service.register(workload.env().clone()),
-                workload.slo_ms(),
-            )
-            .unwrap();
-        let offline = ConfigurationReport::new(
-            workload.env(),
-            &outcome.best_configs,
-            &outcome.final_report,
-            Some(workload.slo_ms()),
-        );
-        let mut offline_json = serde_json::to_string_pretty(&offline).unwrap();
-        offline_json.push('\n');
         assert_eq!(
-            report.body, offline_json,
+            report.body,
+            offline_report(&state, "chatbot", "aarc"),
             "served report must match offline run bytes"
         );
     }
@@ -4071,21 +4043,70 @@ mod tests {
         // park the session and the daemon would never exit.
         let late_pause = route(&state, &request("POST", "/sessions/1/pause", b""));
         assert_problem(&late_pause, 503);
-        // Even a pause that slipped in as a pending flag (e.g. while the
-        // scheduler held the session) is converted to a cancellation by
-        // the scheduler's shutdown sweep.
+        // Even a session found paused after `/shutdown`'s own sweep is
+        // cancelled by the scheduler's shutdown sweep.
         {
             let mut sessions = state.sessions.lock().unwrap();
-            sessions.slots.get_mut(&1).unwrap().want_pause = true;
+            sessions.slots.get_mut(&1).unwrap().record.phase = Phase::Paused;
         }
         {
             let mut sessions = state.sessions.lock().unwrap();
             for slot in sessions.slots.values_mut() {
-                apply_controls_with_shutdown(slot, state.shutting_down());
+                apply_controls(slot, state.shutting_down());
             }
         }
         drain_sessions(&state);
-        assert!(state.drained(), "pending pause must not park the session");
+        assert!(state.drained(), "a paused session must not park the drain");
+    }
+
+    /// A pause that lands while the scheduler holds the session for a step
+    /// is answered `paused` at once; the step it lands in publishes the
+    /// paused phase in the record its checkpoint is cloned from, and the
+    /// session is not stepped again until resumed.
+    #[test]
+    fn a_pause_during_a_step_is_answered_and_recorded_paused() {
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        let state = anonymous_state(&service, &telemetry);
+        route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
+        route(
+            &state,
+            &request("POST", "/sessions", b"{\"scenario\": \"chatbot\"}"),
+        );
+        // Out for a step, as the scheduler takes it.
+        let (tenant, mut session) = state.sessions.lock().unwrap().take_running(1).unwrap();
+        let paused = route(&state, &request("POST", "/sessions/1/pause", b""));
+        assert_eq!(paused.status, 200, "{}", paused.body);
+        assert!(
+            paused.body.contains("\"state\": \"paused\""),
+            "{}",
+            paused.body
+        );
+        let outcome = state.step(tenant, &mut session);
+        assert_eq!(outcome, SessionState::Running);
+        let record = state
+            .sessions
+            .lock()
+            .unwrap()
+            .settle(1, session, outcome, state.telemetry)
+            .record
+            .clone();
+        assert_eq!(record.phase, Phase::Paused, "the step's checkpoint");
+        assert_eq!(record.rounds, 1);
+        assert_eq!(
+            step_once(&state, 1),
+            None,
+            "paused sessions are not stepped"
+        );
+        drain_sessions(&state);
+        assert_eq!(state.sessions.lock().unwrap()[&1].record.rounds, 1);
+        let resumed = route(&state, &request("POST", "/sessions/1/resume", b""));
+        assert!(
+            resumed.body.contains("\"state\": \"running\""),
+            "{}",
+            resumed.body
+        );
+        assert_eq!(step_once(&state, 1), Some(SessionState::Running));
     }
 
     // -----------------------------------------------------------------
@@ -4203,7 +4224,7 @@ mod tests {
         }
         let state = persisted_state(&service, &telemetry, &dir, 4);
         run_recovery(&state);
-        let report = state.recovery.lock().unwrap().clone().unwrap();
+        let report = state.recovery.get().unwrap();
         assert_eq!(report.scenarios_recovered, 1, "{report:?}");
         assert!(report.quarantined.is_empty(), "{report:?}");
         let listed = route(&state, &request("GET", "/scenarios", b""));
@@ -4215,7 +4236,7 @@ mod tests {
         drop(state);
         let state = persisted_state(&service, &telemetry, &dir, 4);
         run_recovery(&state);
-        let report = state.recovery.lock().unwrap().clone().unwrap();
+        let report = state.recovery.get().unwrap();
         assert_eq!(report.scenarios_recovered, 0, "{report:?}");
         let listed = route(&state, &request("GET", "/scenarios", b""));
         let doc = serde_json::parse(&listed.body).unwrap();
@@ -4261,7 +4282,7 @@ mod tests {
         // run to completion, must reproduce the uninterrupted bytes.
         let state = persisted_state(&service, &telemetry, &dir, 4);
         run_recovery(&state);
-        let report = state.recovery.lock().unwrap().clone().unwrap();
+        let report = state.recovery.get().unwrap();
         assert_eq!(report.sessions_resumed, 1, "{report:?}");
         assert!(report.quarantined.is_empty(), "{report:?}");
         {
@@ -4277,6 +4298,59 @@ mod tests {
             resumed.body, reference,
             "resumed session must be byte-identical to the uninterrupted run"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A session paused while idle and checkpointed comes back paused
+    /// after a restart: resumed by replay, not stepped until
+    /// `POST …/resume`, then finished with the offline report's bytes.
+    #[test]
+    fn a_paused_checkpoint_stays_paused_across_a_restart() {
+        let dir = temp_state_dir("paused-restart");
+        let service = EvalService::with_threads(1);
+        let telemetry = ServeTelemetry::quiet();
+        {
+            let state = persisted_state(&service, &telemetry, &dir, 1_000_000);
+            run_recovery(&state);
+            route(&state, &request("POST", "/scenarios", &chatbot_yaml()));
+            route(
+                &state,
+                &request("POST", "/sessions", b"{\"scenario\": \"chatbot\"}"),
+            );
+            step_rounds(&state, 1, 2);
+            let paused = route(&state, &request("POST", "/sessions/1/pause", b""));
+            assert!(
+                paused.body.contains("\"state\": \"paused\""),
+                "{}",
+                paused.body
+            );
+            let checkpoint = state.sessions.lock().unwrap()[&1].record.clone();
+            write_checkpoint(&state, &checkpoint);
+            // Simulated kill -9: the state is dropped without shutdown.
+        }
+        let state = persisted_state(&service, &telemetry, &dir, 1_000_000);
+        run_recovery(&state);
+        let report = state.recovery.get().unwrap();
+        assert_eq!(report.sessions_resumed, 1, "{report:?}");
+        assert!(report.quarantined.is_empty(), "{report:?}");
+        let status = route(&state, &request("GET", "/sessions/1", b""));
+        assert!(
+            status.body.contains("\"state\": \"paused\""),
+            "{}",
+            status.body
+        );
+        drain_sessions(&state);
+        assert_eq!(
+            state.sessions.lock().unwrap()[&1].record.rounds,
+            2,
+            "no step while paused"
+        );
+        let resumed = route(&state, &request("POST", "/sessions/1/resume", b""));
+        assert_eq!(resumed.status, 200, "{}", resumed.body);
+        drain_sessions(&state);
+        let served = route(&state, &request("GET", "/sessions/1/report", b""));
+        assert_eq!(served.status, 200, "{}", served.body);
+        assert_eq!(served.body, offline_report(&state, "chatbot", "aarc"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -4302,7 +4376,7 @@ mod tests {
         };
         let state = persisted_state(&service, &telemetry, &dir, 4);
         run_recovery(&state);
-        let report = state.recovery.lock().unwrap().clone().unwrap();
+        let report = state.recovery.get().unwrap();
         assert_eq!(report.sessions_restored, 1, "{report:?}");
         assert_eq!(report.sessions_resumed, 0, "{report:?}");
         let restored = route(&state, &request("GET", "/sessions/1/report", b""));
@@ -4321,10 +4395,12 @@ mod tests {
 
     /// The temp file a crash left between a checkpoint write's fsync and
     /// its rename, here holding an older live checkpoint, neither shadows
-    /// the session's terminal checkpoint nor is quarantined.
+    /// the session's terminal checkpoint nor is quarantined: recovery
+    /// deletes it.
     #[test]
     fn an_orphaned_temp_file_does_not_shadow_its_checkpoint() {
         let dir = temp_state_dir("orphan-temp");
+        let orphan = dir.join("checkpoints/.session-0000000001.json.9.0.tmp");
         let service = EvalService::with_threads(1);
         let telemetry = ServeTelemetry::quiet();
         let reference = {
@@ -4342,16 +4418,16 @@ mod tests {
             write_checkpoint(&state, &finished);
             let mut text = serde_json::to_string_pretty(&older).unwrap();
             text.push('\n');
-            let orphan = dir.join("checkpoints/.session-0000000001.json.9.0.tmp");
-            std::fs::write(orphan, text).unwrap();
+            std::fs::write(&orphan, text).unwrap();
             route(&state, &request("GET", "/sessions/1/report", b"")).body
         };
         let state = persisted_state(&service, &telemetry, &dir, 1_000_000);
         run_recovery(&state);
-        let report = state.recovery.lock().unwrap().clone().unwrap();
+        let report = state.recovery.get().unwrap();
         assert_eq!(report.sessions_restored, 1, "{report:?}");
         assert_eq!(report.sessions_resumed, 0, "{report:?}");
         assert!(report.quarantined.is_empty(), "{report:?}");
+        assert!(!orphan.exists(), "recovery deletes the orphaned temp file");
         let restored = route(&state, &request("GET", "/sessions/1/report", b""));
         assert_eq!(restored.status, 200, "{}", restored.body);
         assert_eq!(restored.body, reference, "restored report bytes");
@@ -4372,7 +4448,7 @@ mod tests {
         let state = persisted_state(&service, &telemetry, &dir, 4);
         run_recovery(&state);
         assert!(!state.recovering(), "recovery must complete");
-        let report = state.recovery.lock().unwrap().clone().unwrap();
+        let report = state.recovery.get().unwrap();
         assert_eq!(report.wal_lines_dropped, 1, "{report:?}");
         // The snapshot and both checkpoints are quarantined, with the
         // files moved out of the live layout.
@@ -4625,7 +4701,6 @@ mod tests {
                     },
                     tenant,
                     session: None,
-                    want_pause: false,
                     want_cancel: false,
                 });
             }

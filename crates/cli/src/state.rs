@@ -461,17 +461,24 @@ impl StateDir {
     ///
     /// Only `session-<id>.json` names are checkpoints: the rename is a
     /// write's commit point, so the temp file a crash left behind between
-    /// [`atomic_write`]'s fsync and its rename is no checkpoint, and is
-    /// not read.
+    /// [`atomic_write`]'s fsync and its rename
+    /// (`.session-<id>.json.<pid>.<seq>.tmp`) is no checkpoint. Such files
+    /// are deleted here: only startup recovery calls this, before any
+    /// checkpoint is written, so none is a write in progress. Any other
+    /// stray file is left alone.
     pub fn load_checkpoints(&self) -> Vec<(PathBuf, Result<SessionCheckpoint, String>)> {
         let Ok(entries) = std::fs::read_dir(self.checkpoints_dir()) else {
             return Vec::new();
         };
-        let mut paths: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_file() && is_checkpoint_name(p))
-            .collect();
+        let mut paths = Vec::new();
+        for path in entries.filter_map(|e| e.ok()).map(|e| e.path()) {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if is_checkpoint_name(name) && path.is_file() {
+                paths.push(path);
+            } else if is_checkpoint_temp_name(name) {
+                let _ = std::fs::remove_file(&path);
+            }
+        }
         paths.sort();
         paths
             .into_iter()
@@ -538,15 +545,29 @@ impl StateDir {
     }
 }
 
-/// Whether `path` is named like a committed checkpoint, `session-<id>.json`.
-fn is_checkpoint_name(path: &Path) -> bool {
-    path.file_name()
-        .and_then(|name| {
-            name.to_str()?
-                .strip_prefix("session-")?
-                .strip_suffix(".json")
-        })
-        .is_some_and(|id| !id.is_empty() && id.bytes().all(|b| b.is_ascii_digit()))
+/// Whether `name` is a committed checkpoint's, `session-<id>.json`.
+fn is_checkpoint_name(name: &str) -> bool {
+    name.strip_prefix("session-")
+        .and_then(|rest| rest.strip_suffix(".json"))
+        .is_some_and(is_number)
+}
+
+/// Whether `name` is the temp file [`atomic_write`] leaves for a checkpoint,
+/// `.session-<id>.json.<pid>.<seq>.tmp`.
+fn is_checkpoint_temp_name(name: &str) -> bool {
+    let Some(rest) = name.strip_prefix('.').and_then(|n| n.strip_suffix(".tmp")) else {
+        return false;
+    };
+    let mut parts = rest.rsplitn(3, '.');
+    matches!(
+        (parts.next(), parts.next(), parts.next()),
+        (Some(seq), Some(pid), Some(target))
+            if is_number(seq) && is_number(pid) && is_checkpoint_name(target)
+    )
+}
+
+fn is_number(digits: &str) -> bool {
+    !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
 }
 
 #[cfg(test)]
@@ -780,8 +801,10 @@ mod tests {
         }
     }
 
-    /// A temp file that a crash left beside a checkpoint is not read: only
-    /// the rename commits a write.
+    /// A temp file that a crash left beside a checkpoint is not read, only
+    /// the rename commits a write, and loading deletes it; other stray
+    /// files, temp files of other state files among them, are neither read
+    /// nor touched.
     #[test]
     fn orphaned_temp_files_are_not_checkpoints() {
         let root = temp_state_dir("orphan");
@@ -790,16 +813,26 @@ mod tests {
         finished.phase = Phase::Finished;
         state.write_checkpoint(&finished).unwrap();
         let older = serde_json::to_string_pretty(&checkpoint(1)).unwrap();
-        for name in [
-            ".session-0000000001.json.9.0.tmp",
+        let dir = root.join("checkpoints");
+        let orphan = ".session-0000000001.json.9.0.tmp";
+        let strays = [
             "session-.json",
             "notes.txt",
-        ] {
-            std::fs::write(root.join("checkpoints").join(name), &older).unwrap();
+            ".session-0000000001.json.tmp",
+            ".session-0000000001.json.x.0.tmp",
+            ".session-.json.9.0.tmp",
+            ".registry.snapshot.9.0.tmp",
+        ];
+        for name in strays.iter().chain([&orphan]) {
+            std::fs::write(dir.join(name), &older).unwrap();
         }
         let loaded = state.load_checkpoints();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].1.as_ref().unwrap(), &finished);
+        assert!(!dir.join(orphan).exists());
+        for name in strays {
+            assert!(dir.join(name).exists(), "{name}");
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 

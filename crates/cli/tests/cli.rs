@@ -397,4 +397,35 @@ fn unknown_subcommands_and_flags_fail_cleanly() {
 
     let help = run_ok(bin().arg("help"));
     assert!(String::from_utf8_lossy(&help.stdout).contains("USAGE"));
+
+    // Every subcommand answers `--help`/`-h` with the usage and exits 0
+    // without running (`serve --help` binds nothing), yet still rejects
+    // an unknown flag.
+    for subcommand in [
+        "validate",
+        "run",
+        "compare",
+        "sweep",
+        "bench",
+        "serve",
+        "loadtest",
+        "export-builtin",
+        "generate",
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = run_ok(bin().args([subcommand, flag]));
+            assert!(
+                String::from_utf8_lossy(&out.stdout).starts_with("aarc — "),
+                "{subcommand} {flag}"
+            );
+            assert!(out.stderr.is_empty(), "{subcommand} {flag} ran");
+        }
+        let out = bin().args([subcommand, "--nope", "x"]).output().unwrap();
+        assert!(!out.status.success(), "{subcommand} --nope");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag `--nope`"),
+            "{subcommand}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

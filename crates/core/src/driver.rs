@@ -16,7 +16,7 @@
 //! * **online serving** — a long-running daemon (`aarc serve`) owns
 //!   sessions directly, stepping them from a scheduler thread while
 //!   concurrent clients poll each session's [`SessionProgress`] snapshot,
-//!   pause/resume it, or cancel it;
+//!   pause it (the scheduler stops stepping it) or cancel it;
 //! * **determinism** — a strategy's ask sequence depends only on the
 //!   results it was told, and every evaluation's RNG seed derives from the
 //!   environment seed (probes) or the candidate's batch index (batches,
@@ -97,15 +97,12 @@ impl std::fmt::Debug for dyn SearchStrategy {
     }
 }
 
-/// Observable lifecycle state of a [`SearchSession`], as reported by
-/// [`SearchSession::step`] and [`SearchSession::state`].
+/// Lifecycle state of a [`SearchSession`], as reported by
+/// [`SearchSession::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SessionState {
     /// The session has more ask/tell rounds to run.
     Running,
-    /// The session is paused: [`step`](SearchSession::step) is a no-op
-    /// until [`resume`](SearchSession::resume).
-    Paused,
     /// The session completed (successfully, with an error, or by
     /// cancellation); its [`SearchOutcome`] is available.
     Finished,
@@ -126,13 +123,13 @@ pub struct Incumbent {
 /// One point of a session's convergence trace: the incumbent after a
 /// completed ask/evaluate/tell round.
 ///
-/// Sessions append one point per successful step (see
-/// [`SearchSession::convergence`]), so a client can plot search progress —
-/// cost and makespan of the best feasible candidate against rounds or
-/// evaluations — while the session runs. Pure in-memory bookkeeping: the
-/// trace is deterministic (it derives from the deterministic step
-/// sequence) and is not part of any report, so byte-golden outputs are
-/// unaffected.
+/// A caller that keeps a trace appends [`RoundPoint::after`] the session's
+/// progress for every step that returned [`SessionState::Running`], so a
+/// client can plot search progress — cost and makespan of the best
+/// feasible candidate against rounds or evaluations — while the session
+/// runs. The trace is deterministic (it derives from the deterministic
+/// step sequence) and is not part of any report, so byte-golden outputs
+/// are unaffected.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundPoint {
     /// 1-based round index (equals [`SessionProgress::rounds`] after the
@@ -144,6 +141,19 @@ pub struct RoundPoint {
     pub incumbent_cost: Option<f64>,
     /// Makespan of the incumbent after the round, ms.
     pub incumbent_makespan_ms: Option<f64>,
+}
+
+impl RoundPoint {
+    /// The point a completed round leaves: the session's progress after
+    /// the step.
+    pub fn after(progress: &SessionProgress) -> Self {
+        RoundPoint {
+            round: progress.rounds,
+            evals: progress.evals,
+            incumbent_cost: progress.incumbent.as_ref().map(|inc| inc.cost),
+            incumbent_makespan_ms: progress.incumbent.as_ref().map(|inc| inc.makespan_ms),
+        }
+    }
 }
 
 /// A cheap point-in-time snapshot of a session's progress, maintained by
@@ -166,19 +176,17 @@ pub struct SessionProgress {
 /// ask/evaluate/tell round per [`step`](SearchSession::step).
 ///
 /// Sessions are the unit the driver loops over and the unit the `aarc
-/// serve` daemon schedules: they can be paused, resumed and cancelled
-/// between steps, and publish a [`SessionProgress`] snapshot after every
-/// step. The step sequence — ask, evaluate through the handle, tell — is
-/// exactly the historical driver loop, so running a session to completion
-/// is bit-identical to the pre-session `SearchDriver::run`.
+/// serve` daemon schedules: they can be cancelled between steps, and
+/// publish a [`SessionProgress`] snapshot after every step. The step
+/// sequence — ask, evaluate through the handle, tell — is exactly the
+/// historical driver loop, so running a session to completion is
+/// bit-identical to the pre-session `SearchDriver::run`.
 #[derive(Debug)]
 pub struct SearchSession<'s> {
     strategy: Box<dyn SearchStrategy>,
     handle: ScenarioHandle<'s>,
     slo_ms: Option<f64>,
     progress: SessionProgress,
-    convergence: Vec<RoundPoint>,
-    paused: bool,
     outcome: Option<Result<SearchOutcome, AarcError>>,
 }
 
@@ -190,8 +198,6 @@ impl<'s> SearchSession<'s> {
             handle,
             slo_ms: None,
             progress: SessionProgress::default(),
-            convergence: Vec::new(),
-            paused: false,
             outcome: None,
         }
     }
@@ -220,39 +226,10 @@ impl<'s> SearchSession<'s> {
         self.strategy.name()
     }
 
-    /// The session's lifecycle state.
-    pub fn state(&self) -> SessionState {
-        if self.outcome.is_some() {
-            SessionState::Finished
-        } else if self.paused {
-            SessionState::Paused
-        } else {
-            SessionState::Running
-        }
-    }
-
     /// The session's progress snapshot (updated after every completed
     /// step).
     pub fn progress(&self) -> &SessionProgress {
         &self.progress
-    }
-
-    /// The per-round convergence trace: one [`RoundPoint`] per completed
-    /// ask/evaluate/tell round, in round order.
-    pub fn convergence(&self) -> &[RoundPoint] {
-        &self.convergence
-    }
-
-    /// Pauses the session: [`step`](SearchSession::step) becomes a no-op
-    /// until [`resume`](SearchSession::resume). No effect on a finished
-    /// session.
-    pub fn pause(&mut self) {
-        self.paused = true;
-    }
-
-    /// Resumes a paused session.
-    pub fn resume(&mut self) {
-        self.paused = false;
     }
 
     /// Cancels the session: it finishes immediately with
@@ -265,14 +242,11 @@ impl<'s> SearchSession<'s> {
     }
 
     /// Advances the session by exactly one ask/evaluate/tell round and
-    /// returns the state after the step. Paused and finished sessions are
-    /// left untouched.
+    /// returns the state after the step. A finished session is left
+    /// untouched.
     pub fn step(&mut self) -> SessionState {
         if self.outcome.is_some() {
             return SessionState::Finished;
-        }
-        if self.paused {
-            return SessionState::Paused;
         }
         // Split borrows: the strategy is stepped mutably while the
         // environment is borrowed from the handle.
@@ -281,7 +255,6 @@ impl<'s> SearchSession<'s> {
             handle,
             slo_ms,
             progress,
-            convergence,
             ..
         } = self;
         let env = handle.env();
@@ -330,12 +303,6 @@ impl<'s> SearchSession<'s> {
                 });
             }
         }
-        convergence.push(RoundPoint {
-            round: progress.rounds,
-            evals: progress.evals,
-            incumbent_cost: progress.incumbent.as_ref().map(|inc| inc.cost),
-            incumbent_makespan_ms: progress.incumbent.as_ref().map(|inc| inc.makespan_ms),
-        });
         SessionState::Running
     }
 
@@ -378,10 +345,7 @@ impl SearchDriver {
     /// session performs one ask/evaluate/tell step per round, so batches
     /// from different searches alternate on the shared worker pool.
     /// Outcomes are returned in session order; a session's error ends that
-    /// session only. This is a run-to-completion loop: paused sessions are
-    /// resumed (a pause would otherwise stall the round-robin forever —
-    /// schedulers that honour pauses own their own loop, like the serve
-    /// daemon's).
+    /// session only.
     pub fn run_interleaved(
         mut sessions: Vec<SearchSession<'_>>,
     ) -> Vec<Result<SearchOutcome, AarcError>> {
@@ -390,7 +354,6 @@ impl SearchDriver {
             for session in &mut sessions {
                 if !session.is_finished() {
                     any_live = true;
-                    session.resume();
                     session.step();
                 }
             }

@@ -24,7 +24,7 @@
 //! * [`driver`] — the ask/tell protocol: every method is a resumable
 //!   [`driver::SearchStrategy`], a [`driver::SearchSession`] advances one
 //!   strategy a single ask/evaluate/tell round per step (with
-//!   pause/cancel and a pollable progress snapshot), and the
+//!   cancellation and a pollable progress snapshot), and the
 //!   [`driver::SearchDriver`] entry points are thin loops over sessions —
 //!   so independent searches interleave their batches on one shared
 //!   [`EvalService`](aarc_simulator::EvalService) pool (or are served
