@@ -11,10 +11,25 @@
 //!   service around it.
 //! * `event_loop_chain` — the identical chain through the event-loop
 //!   reference, the pre-round-two cost of the same work.
+//!
+//! Two more shapes replay the whole 4096-candidate chain one probe at a
+//! time, the way AARC's scheduler and MAFF evaluate candidates:
+//!
+//! * `probe_service` — [`ScenarioHandle::evaluate`] on a fresh
+//!   single-thread service with the cache on, so each probe pays the key
+//!   hash, cache lookup and insertion and the probe-anchor hand-off a
+//!   search's probe pays (registration is included, under 1% of a pass);
+//! * `probe_kernel` — the bare [`CompiledScenario`] calls that path makes:
+//!   an incremental re-simulation off the last exact probe, else a full
+//!   one.
+//!
+//! `probe_service / probe_kernel` is the service's overhead per probe.
+//!
+//! [`ScenarioHandle::evaluate`]: aarc_simulator::ScenarioHandle::evaluate
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use aarc_simulator::kernel::{BatchSim, CompiledScenario, SimScratch};
+use aarc_simulator::kernel::{BatchSim, CompiledScenario, SimResult, SimScratch};
 use aarc_simulator::{ConfigMap, EvalOptions, EvalService, ResourceConfig};
 use aarc_workloads::paper_workloads;
 use rand::rngs::StdRng;
@@ -53,6 +68,56 @@ fn bench_batch(c: &mut Criterion) {
         )
         .expect("paper workloads compile");
         let chain = candidate_chain(&env, *BATCH_SIZES.last().unwrap());
+
+        group.bench_with_input(
+            BenchmarkId::new(format!("probe_service/{}", workload.name()), chain.len()),
+            &chain,
+            |b, chain| {
+                b.iter(|| {
+                    let service = EvalService::with_threads(1);
+                    let handle = service.register(env.clone());
+                    for configs in chain {
+                        std::hint::black_box(handle.evaluate(configs).expect("probe evaluates"));
+                    }
+                });
+            },
+        );
+
+        group.bench_with_input(
+            BenchmarkId::new(format!("probe_kernel/{}", workload.name()), chain.len()),
+            &chain,
+            |b, chain| {
+                let mut scratch = SimScratch::new();
+                let (input, seed) = (env.input(), env.seed());
+                b.iter(|| {
+                    let mut anchor: Option<(&ConfigMap, SimResult)> = None;
+                    for configs in chain {
+                        let result = anchor
+                            .as_ref()
+                            .and_then(|(anchor_cfgs, anchor_result)| {
+                                scenario.try_incremental(
+                                    &mut scratch,
+                                    configs,
+                                    input,
+                                    seed,
+                                    anchor_cfgs,
+                                    anchor_result,
+                                )
+                            })
+                            .unwrap_or_else(|| {
+                                scenario
+                                    .simulate(&mut scratch, configs, input, seed)
+                                    .expect("probe simulates")
+                            });
+                        let result = std::hint::black_box(result);
+                        // The service re-anchors only on an exact probe.
+                        if scenario.relaxation_exact(configs) {
+                            anchor = Some((configs, result));
+                        }
+                    }
+                });
+            },
+        );
 
         for &size in &BATCH_SIZES {
             let candidates = &chain[..size];

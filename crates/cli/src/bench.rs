@@ -867,9 +867,20 @@ pub fn gate_failures(
 mod tests {
     use super::*;
 
-    /// Writes a small synthetic spec into a temp dir of the test's own,
-    /// so parallel tests never write the same file.
-    fn tiny_spec_path(test: &str) -> String {
+    /// A small synthetic spec in a temp dir of the test's own, so parallel
+    /// tests never write the same file; dropping it removes the dir.
+    struct TinySpec {
+        dir: std::path::PathBuf,
+        path: String,
+    }
+
+    impl Drop for TinySpec {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn tiny_spec(test: &str) -> TinySpec {
         let dir =
             std::env::temp_dir().join(format!("aarc-bench-mod-test-{test}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -881,13 +892,16 @@ mod tests {
             ..aarc_spec::SynthParams::default()
         });
         aarc_spec::save(&spec, &path).unwrap();
-        path.to_string_lossy().into_owned()
+        TinySpec {
+            path: path.to_string_lossy().into_owned(),
+            dir,
+        }
     }
 
     #[test]
     fn bench_produces_consistent_scenarios_and_roundtrips_as_json() {
-        let path = tiny_spec_path("roundtrip");
-        let report = run_bench(&[path], 2, 32).unwrap();
+        let spec = tiny_spec("roundtrip");
+        let report = run_bench(std::slice::from_ref(&spec.path), 2, 32).unwrap();
         assert_eq!(report.version, BENCH_VERSION);
         assert_eq!(report.scenarios.len(), 1);
         let s = &report.scenarios[0];
@@ -954,8 +968,8 @@ mod tests {
 
     #[test]
     fn serve_phase_round_trips() {
-        let path = tiny_spec_path("serve-phase");
-        let report = run_bench(&[path], 1, 8).unwrap();
+        let spec = tiny_spec("serve-phase");
+        let report = run_bench(std::slice::from_ref(&spec.path), 1, 8).unwrap();
         assert!(
             report.serve.is_none(),
             "plain bench never adds a serve phase"
@@ -989,8 +1003,8 @@ mod tests {
 
     #[test]
     fn alloc_ceiling_fails_loudly_on_a_report_without_the_phase() {
-        let path = tiny_spec_path("alloc-missing");
-        let report = run_bench(&[path], 1, 8).unwrap();
+        let spec = tiny_spec("alloc-missing");
+        let report = run_bench(std::slice::from_ref(&spec.path), 1, 8).unwrap();
         let mut without_alloc = report.clone();
         without_alloc.scenarios[0].alloc = None;
         // The ceiling reads only the current report, never the baseline.
@@ -1024,8 +1038,8 @@ mod tests {
 
     #[test]
     fn gate_enforces_the_result_slab_allocation_ceiling() {
-        let path = tiny_spec_path("alloc-ceiling");
-        let report = run_bench(&[path], 1, 32).unwrap();
+        let spec = tiny_spec("alloc-ceiling");
+        let report = run_bench(std::slice::from_ref(&spec.path), 1, 32).unwrap();
         // The measured batch path sits at one slab per chunk, far below
         // one allocation per simulation.
         assert!(gate_failures(&report, None, 0.2, None, None, Some(0.2)).is_empty());
@@ -1043,8 +1057,8 @@ mod tests {
 
     #[test]
     fn gate_enforces_the_incremental_resimulation_floor() {
-        let path = tiny_spec_path("incremental-floor");
-        let report = run_bench(&[path], 1, 32).unwrap();
+        let spec = tiny_spec("incremental-floor");
+        let report = run_bench(std::slice::from_ref(&spec.path), 1, 32).unwrap();
         // An unreachable incremental floor fails.
         let failures = gate_failures(&report, None, 0.2, None, Some(1_000_000.0), None);
         assert!(
@@ -1072,8 +1086,8 @@ mod tests {
 
     #[test]
     fn gate_flags_aggregate_shared_pool_regressions() {
-        let path = tiny_spec_path("aggregate-gate");
-        let report = run_bench(&[path], 1, 16).unwrap();
+        let spec = tiny_spec("aggregate-gate");
+        let report = run_bench(std::slice::from_ref(&spec.path), 1, 16).unwrap();
         let mut fast = report.clone();
         fast.aggregate.as_mut().unwrap().sims_per_sec *= 10.0;
         let failures = gate_failures(&report, Some(&fast), 0.2, None, None, None);
@@ -1085,8 +1099,8 @@ mod tests {
 
     #[test]
     fn gate_flags_regressions_and_weak_speedup() {
-        let path = tiny_spec_path("regression-gate");
-        let report = run_bench(&[path], 1, 16).unwrap();
+        let spec = tiny_spec("regression-gate");
+        let report = run_bench(std::slice::from_ref(&spec.path), 1, 16).unwrap();
         // Identical runs never regress against themselves.
         assert!(gate_failures(&report, Some(&report), 0.2, None, None, None).is_empty());
 

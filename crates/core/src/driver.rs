@@ -258,7 +258,11 @@ impl<'s> SearchSession<'s> {
             ..
         } = self;
         let env = handle.env();
-        let (asked, results) = match strategy.ask(env) {
+        // A probe's one candidate and result, or a batch's: both are told
+        // and scanned as slices.
+        let probe;
+        let batch;
+        let (asked, results): (&[ConfigMap], &[SimResult]) = match strategy.ask(env) {
             Err(e) => {
                 self.outcome = Some(Err(e));
                 return SessionState::Finished;
@@ -272,23 +276,32 @@ impl<'s> SearchSession<'s> {
                     self.outcome = Some(Err(e.into()));
                     return SessionState::Finished;
                 }
-                Ok(result) => (vec![configs], vec![result]),
+                Ok(result) => {
+                    probe = (configs, result);
+                    (
+                        std::slice::from_ref(&probe.0),
+                        std::slice::from_ref(&probe.1),
+                    )
+                }
             },
             Ok(Ask::Batch(candidates)) => match handle.evaluate_batch(&candidates) {
                 Err(e) => {
                     self.outcome = Some(Err(e.into()));
                     return SessionState::Finished;
                 }
-                Ok(results) => (candidates, results),
+                Ok(results) => {
+                    batch = (candidates, results);
+                    (&batch.0, &batch.1)
+                }
             },
         };
-        if let Err(e) = strategy.tell(env, &results) {
+        if let Err(e) = strategy.tell(env, results) {
             self.outcome = Some(Err(e));
             return SessionState::Finished;
         }
         progress.rounds += 1;
         progress.evals += results.len() as u64;
-        for (configs, result) in asked.iter().zip(&results) {
+        for (configs, result) in asked.iter().zip(results) {
             let feasible =
                 !result.any_oom() && slo_ms.is_none_or(|slo| result.makespan_ms() <= slo);
             let improves = progress

@@ -17,9 +17,22 @@ use crate::resources::{ResourceConfig, ResourceSpace};
 
 /// Per-function resource configurations of a workflow, indexed by
 /// [`NodeId`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ConfigMap {
     configs: Vec<ResourceConfig>,
+}
+
+impl Clone for ConfigMap {
+    fn clone(&self) -> Self {
+        ConfigMap {
+            configs: self.configs.clone(),
+        }
+    }
+
+    /// Copies `source` into this map's buffer, reusing its allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.configs.clone_from(&source.configs);
+    }
 }
 
 impl ConfigMap {

@@ -26,7 +26,12 @@
 //!   simulations. Keys carry the scenario fingerprint, so any number of
 //!   scenarios can share the cache without ever leaking reports across
 //!   scenarios; hit/miss/eviction statistics are kept **per fingerprint**
-//!   (see [`EvalService::scenario_stats`]) as well as in aggregate;
+//!   (see [`EvalService::scenario_stats`]) as well as in aggregate. Each
+//!   candidate is hashed once, in one SipHash pass over its packed key
+//!   bytes; that hash picks the shard and indexes it, a lookup compares the
+//!   candidate's configuration slice in place, and an owned key is built
+//!   only for a miss that enters the cache, so a cache hit allocates
+//!   nothing. Eviction is FIFO per shard;
 //! * a pool of reusable [`SimScratch`] arenas borrowed by worker threads.
 //!
 //! A [`ScenarioHandle`] is just a compiled scenario on a service: creating
@@ -40,11 +45,12 @@
 //! unregistration purging the scenario's cache entries, and
 //! [`EvalService::stats_snapshot`] gives a pollable service-wide view.
 //!
-//! Cache bookkeeping (lookup, hit/miss accounting, insertion, eviction)
-//! always happens on the submitting thread in candidate order, before and
-//! after the worker loop; the worker loop only ever runs the pure
-//! simulation. This keeps the statistics — and therefore any report that
-//! embeds them — identical for `--threads 1` and `--threads 8`.
+//! Cache bookkeeping (lookup, hit/miss accounting, in-batch dedup,
+//! insertion, eviction) always happens on the submitting thread in
+//! candidate order, before and after the worker loop; the worker loop only
+//! ever runs the pure simulation. This keeps the statistics — and
+//! therefore any report that embeds them — identical for `--threads 1` and
+//! `--threads 8`.
 //!
 //! Both the cache and the searchers traffic in the lean [`SimResult`] —
 //! cache hits clone an `Arc`, not a report full of `String`s. The full
@@ -54,7 +60,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -68,6 +74,7 @@ use crate::error::SimulatorError;
 use crate::executor::ExecutionReport;
 use crate::input::InputSpec;
 use crate::kernel::{BatchSim, CompiledScenario, KernelCounters, SimResult, SimScratch};
+use crate::resources::ResourceConfig;
 
 /// Number of independent cache shards (a power of two; the shard is chosen
 /// by key hash, so concurrent submitters contend on different locks).
@@ -212,26 +219,245 @@ pub struct ServiceSnapshot {
     pub inflight_peak: usize,
 }
 
-/// Exact-equality cache key of one candidate evaluation.
+/// Configuration pairs [`KeyRef::hash`] packs into one `write` call: enough
+/// for every workflow of the paper and the synthetic corpora in one pass.
+/// Longer keys are fed in blocks of this many pairs.
+const KEY_BLOCK: usize = 64;
+
+/// Bytes of the key fields ahead of the configuration pairs: fingerprint,
+/// input bucket, seed and the pair slice's length prefix.
+const KEY_HEADER: usize = 4 * 8 + std::mem::size_of::<usize>();
+
+/// Bytes one `(vcpu bits, memory)` pair feeds the hasher.
+const KEY_PAIR: usize = 8 + 4;
+
+/// The exact-equality key of one candidate evaluation, borrowed from the
+/// candidate: nothing is allocated to hash it or to look it up.
 ///
 /// The *input bucket* is the bit pattern of the input's scale and payload:
 /// two inputs fall into the same bucket iff they are numerically identical,
 /// so a cache hit can never return the report of a different input. The
 /// seed is normalised to 0 when the cluster models no runtime jitter
 /// (reports are then seed-independent), which lets different search methods
-/// share entries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// share entries. Configurations compare by bit pattern.
+struct KeyRef<'a> {
+    fingerprint: u64,
+    input_bucket: (u64, u64),
+    seed: u64,
+    configs: &'a [ResourceConfig],
+}
+
+/// The bit pattern a configuration is keyed by.
+fn config_bits(config: &ResourceConfig) -> (u64, u32) {
+    (config.vcpu.get().to_bits(), config.memory.get())
+}
+
+impl KeyRef<'_> {
+    /// SipHash-1-3 with zero keys ([`DefaultHasher::new`]) over exactly the
+    /// bytes a derived `Hash` of `(fingerprint, input_bucket, seed,
+    /// Box<[(vcpu bits, memory)]>)` feeds it: four native-endian words, the
+    /// slice's `usize` length prefix, then 8 + 4 bytes per pair. SipHash
+    /// digests a byte stream however it is split into writes, so one write
+    /// of the packed bytes yields the hash 2n + 5 separate writes did. The
+    /// shard index (`hash % SHARD_COUNT`), and with it per-shard FIFO
+    /// eviction, is therefore the same function of the key it always was.
+    fn hash(&self) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        let mut buf = [0u8; KEY_HEADER + KEY_PAIR * KEY_BLOCK];
+        let words = [
+            self.fingerprint,
+            self.input_bucket.0,
+            self.input_bucket.1,
+            self.seed,
+        ];
+        for (slot, word) in buf.chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_ne_bytes());
+        }
+        buf[4 * 8..KEY_HEADER].copy_from_slice(&self.configs.len().to_ne_bytes());
+        let mut len = KEY_HEADER;
+        for config in self.configs {
+            if len == buf.len() {
+                hasher.write(&buf);
+                len = 0;
+            }
+            let (vcpu, memory) = config_bits(config);
+            buf[len..len + 8].copy_from_slice(&vcpu.to_ne_bytes());
+            buf[len + 8..len + KEY_PAIR].copy_from_slice(&memory.to_ne_bytes());
+            len += KEY_PAIR;
+        }
+        hasher.write(&buf[..len]);
+        hasher.finish()
+    }
+
+    /// Whether two keys name the same evaluation, bit for bit.
+    fn same(&self, other: &KeyRef<'_>) -> bool {
+        self.fingerprint == other.fingerprint
+            && self.input_bucket == other.input_bucket
+            && self.seed == other.seed
+            && self
+                .configs
+                .iter()
+                .map(config_bits)
+                .eq(other.configs.iter().map(config_bits))
+    }
+}
+
+/// The owned form of a [`KeyRef`] the cache stores, built only for a miss
+/// that enters the cache.
+#[derive(Debug)]
 struct CacheKey {
     fingerprint: u64,
     input_bucket: (u64, u64),
     seed: u64,
-    configs: Box<[(u64, u32)]>,
+    configs: Box<[ResourceConfig]>,
 }
 
+impl CacheKey {
+    fn new(key: &KeyRef<'_>) -> Self {
+        CacheKey {
+            fingerprint: key.fingerprint,
+            input_bucket: key.input_bucket,
+            seed: key.seed,
+            configs: key.configs.into(),
+        }
+    }
+
+    fn view(&self) -> KeyRef<'_> {
+        KeyRef {
+            fingerprint: self.fingerprint,
+            input_bucket: self.input_bucket,
+            seed: self.seed,
+            configs: &self.configs,
+        }
+    }
+}
+
+/// Hashes a key's SipHash value for a shard's index. All keys of one shard
+/// share the low bits (`hash % SHARD_COUNT` picked the shard), and the
+/// table places entries by its hash's low bits, so they are swapped with
+/// the high half. Keys are built from searcher candidates, never from
+/// client bytes.
+#[derive(Debug, Default)]
+struct ShardHasher(u64);
+
+impl Hasher for ShardHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("shard indexes hash only u64 key hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash.rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One memoised evaluation.
+#[derive(Debug)]
+struct Entry {
+    hash: u64,
+    key: CacheKey,
+    result: SimResult,
+    /// Insertion number of the next-older entry with the same key hash.
+    older: Option<u64>,
+}
+
+/// One cache shard: its entries in insertion order, which is also FIFO
+/// eviction order, and an index from key hash to the newest entry with
+/// that hash (older ones chain through [`Entry::older`]). Every entry is
+/// one slot of `entries`, with one boxed configuration slice.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<CacheKey, SimResult>,
-    order: VecDeque<CacheKey>,
+    entries: VecDeque<Entry>,
+    /// Insertion number of `entries[0]`; `entries[k]` has `head + k`.
+    head: u64,
+    index: HashMap<u64, u64, BuildHasherDefault<ShardHasher>>,
+}
+
+impl Shard {
+    /// Position in `entries` of the entry stored under `key`.
+    fn find(&self, hash: u64, key: &KeyRef<'_>) -> Option<usize> {
+        let mut number = self.index.get(&hash).copied();
+        // Walk from the newest entry with this hash to older ones; numbers
+        // below `head` were evicted.
+        while let Some(n) = number.filter(|&n| n >= self.head) {
+            let pos = (n - self.head) as usize;
+            if self.entries[pos].key.view().same(key) {
+                return Some(pos);
+            }
+            number = self.entries[pos].older;
+        }
+        None
+    }
+
+    /// Appends a newest entry.
+    fn push(&mut self, hash: u64, key: CacheKey, result: SimResult) {
+        let number = self.head + self.entries.len() as u64;
+        let older = self.index.insert(hash, number);
+        self.entries.push_back(Entry {
+            hash,
+            key,
+            result,
+            older,
+        });
+    }
+
+    /// Removes the oldest entry.
+    fn pop_oldest(&mut self) -> Option<Entry> {
+        let oldest = self.entries.pop_front()?;
+        if self.index.get(&oldest.hash) == Some(&self.head) {
+            self.index.remove(&oldest.hash);
+        }
+        self.head += 1;
+        Some(oldest)
+    }
+
+    /// Keeps the entries whose key `keep` accepts, in their order.
+    fn retain(&mut self, mut keep: impl FnMut(&CacheKey) -> bool) {
+        self.entries.retain(|e| keep(&e.key));
+        self.head = 0;
+        self.index.clear();
+        for (number, entry) in self.entries.iter_mut().enumerate() {
+            entry.older = self.index.insert(entry.hash, number as u64);
+        }
+    }
+}
+
+/// A batch's pre-sized open-addressing table of claimed candidates, keyed
+/// by (key hash, candidate index): the first occurrence of each distinct
+/// key claims a slot, and a later equal candidate finds that claim.
+struct Claims {
+    slots: Vec<(u64, usize)>,
+}
+
+impl Claims {
+    const FREE: usize = usize::MAX;
+
+    /// A table for `candidates` claims, at most half full.
+    fn new(candidates: usize) -> Self {
+        Claims {
+            slots: vec![(0, Self::FREE); (2 * candidates).next_power_of_two()],
+        }
+    }
+
+    /// The index of an earlier claim for which `same` holds; otherwise
+    /// claims a slot for `index` and returns `None`.
+    fn claim(&mut self, hash: u64, index: usize, same: impl Fn(usize) -> bool) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                (_, Self::FREE) => {
+                    self.slots[slot] = (hash, index);
+                    return None;
+                }
+                (claimed, first) if claimed == hash && same(first) => return Some(first),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
 }
 
 /// Hit/miss/eviction counters of one scenario fingerprint. Shared (via
@@ -523,9 +749,10 @@ impl EvalService {
             );
         }
         for shard in &self.shards {
-            let mut s = shard.lock().expect("cache shard poisoned");
-            s.order.retain(|k| k.fingerprint != fingerprint);
-            s.map.retain(|k, _| k.fingerprint != fingerprint);
+            shard
+                .lock()
+                .expect("cache shard poisoned")
+                .retain(|k| k.fingerprint != fingerprint);
         }
         removed.is_some()
     }
@@ -623,7 +850,7 @@ impl EvalService {
     pub fn cached_entries(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
+            .map(|s| s.lock().expect("cache shard poisoned").entries.len())
             .sum()
     }
 
@@ -653,7 +880,8 @@ impl EvalService {
         seed: u64,
     ) -> Result<SimResult, SimulatorError> {
         let key = Self::key(data, configs, input, seed);
-        if let Some(result) = self.cache_get(&key) {
+        let hash = key.hash();
+        if let Some(result) = self.cache_get(hash, &key) {
             data.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(result);
         }
@@ -663,12 +891,13 @@ impl EvalService {
         // registration's previous exact probe when the kernel can prove
         // bit-identity, and simulate from scratch otherwise. Reuse is
         // exact either way, so a stale or raced anchor can never change a
-        // result — only how much work it saves.
-        let anchor = data
+        // result — only how much work it saves. The anchor is taken out
+        // for the simulation and put back (or replaced) after it.
+        let mut anchor = data
             .probe_anchor
             .lock()
             .expect("probe anchor poisoned")
-            .clone();
+            .take();
         let incremental = anchor.as_ref().and_then(|(anchor_cfgs, anchor_result)| {
             data.scenario.try_incremental(
                 &mut scratch,
@@ -684,12 +913,22 @@ impl EvalService {
             None => data.scenario.simulate(&mut scratch, configs, input, seed),
         };
         self.put_scratch(scratch);
-        let result = result?;
-        if data.scenario.relaxation_exact(configs) {
-            *data.probe_anchor.lock().expect("probe anchor poisoned") =
-                Some((configs.clone(), result.clone()));
+        if let Ok(result) = &result {
+            if data.scenario.relaxation_exact(configs) {
+                match &mut anchor {
+                    Some((anchor_cfgs, anchor_result)) => {
+                        anchor_cfgs.clone_from(configs);
+                        *anchor_result = result.clone();
+                    }
+                    None => anchor = Some((configs.clone(), result.clone())),
+                }
+            }
         }
-        self.cache_insert(data, key, result.clone());
+        if anchor.is_some() {
+            *data.probe_anchor.lock().expect("probe anchor poisoned") = anchor;
+        }
+        let result = result?;
+        self.cache_insert(data, hash, &key, result.clone());
         Ok(result)
     }
 
@@ -710,31 +949,40 @@ impl EvalService {
         let telemetry = self.telemetry.get();
         let batch_start = telemetry.map(|_| Instant::now());
         let mut results: Vec<Option<SimResult>> = vec![None; n];
-        // Sequential cache pre-pass in candidate order: resolve hits, claim
-        // the first occurrence of every distinct missing key and remember
-        // intra-batch duplicates, each against its first occurrence's
-        // candidate index. Counting duplicates as hits matches the
-        // sequential (1-thread) semantics exactly.
-        let mut claimed: HashMap<CacheKey, usize> = HashMap::new();
-        let mut pending: Vec<(usize, CacheKey, u64)> = Vec::new();
+        // Sequential cache pre-pass in candidate order: hash each key once,
+        // resolve hits, claim the first occurrence of every distinct
+        // missing key and remember intra-batch duplicates, each against
+        // its first occurrence's candidate index. Counting duplicates as
+        // hits matches the sequential (1-thread) semantics exactly.
+        let base_seed = data.env.seed();
+        let key_of = |i: usize| {
+            Self::key(
+                data,
+                &candidates[i],
+                input,
+                derive_seed(base_seed, i as u64),
+            )
+        };
+        let mut claims = Claims::new(n);
+        // (candidate index, key hash, seed) of each distinct miss.
+        let mut pending: Vec<(usize, u64, u64)> = Vec::with_capacity(n);
         let mut duplicates: Vec<(usize, usize)> = Vec::new();
         let mut batch_hits = 0u64;
-        for (i, configs) in candidates.iter().enumerate() {
-            let seed = derive_seed(data.env.seed(), i as u64);
-            let key = Self::key(data, configs, input, seed);
-            if let Some(report) = self.cache_get(&key) {
+        for (i, result) in results.iter_mut().enumerate() {
+            let key = key_of(i);
+            let hash = key.hash();
+            if let Some(report) = self.cache_get(hash, &key) {
                 data.counters.hits.fetch_add(1, Ordering::Relaxed);
                 batch_hits += 1;
-                results[i] = Some(report);
-            } else if let Some(&first) = claimed.get(&key) {
+                *result = Some(report);
+            } else if let Some(first) = claims.claim(hash, i, |j| key_of(j).same(&key)) {
                 data.counters.hits.fetch_add(1, Ordering::Relaxed);
                 data.counters.batch_dedup.fetch_add(1, Ordering::Relaxed);
                 batch_hits += 1;
                 duplicates.push((i, first));
             } else {
                 data.counters.misses.fetch_add(1, Ordering::Relaxed);
-                claimed.insert(key.clone(), i);
-                pending.push((i, key, seed));
+                pending.push((i, hash, derive_seed(base_seed, i as u64)));
             }
         }
         let misses = pending.len();
@@ -747,9 +995,9 @@ impl EvalService {
         // Insert in candidate order (deterministic eviction), then resolve
         // duplicates from their first occurrences.
         let mut evicted = 0usize;
-        for ((i, key, _seed), outcome) in pending.into_iter().zip(computed) {
+        for (&(i, hash, _seed), outcome) in pending.iter().zip(computed) {
             let report = outcome?;
-            evicted += self.cache_insert(data, key, report.clone());
+            evicted += self.cache_insert(data, hash, &key_of(i), report.clone());
             results[i] = Some(report);
         }
         let dedup_hits = duplicates.len() as u64;
@@ -874,7 +1122,7 @@ impl EvalService {
         data: &ScenarioData,
         candidates: &[ConfigMap],
         input: InputSpec,
-        pending: &[(usize, CacheKey, u64)],
+        pending: &[(usize, u64, u64)],
     ) -> Vec<Result<SimResult, SimulatorError>> {
         if pending.is_empty() {
             return Vec::new();
@@ -922,62 +1170,67 @@ impl EvalService {
             .collect()
     }
 
-    /// Builds the exact cache key of one evaluation. The seed is dropped
-    /// from the key when the cluster models no jitter, because the report is
-    /// then seed-independent.
-    fn key(data: &ScenarioData, configs: &ConfigMap, input: InputSpec, seed: u64) -> CacheKey {
+    /// The exact cache key of one evaluation. The seed is dropped from the
+    /// key when the cluster models no jitter, because the report is then
+    /// seed-independent.
+    fn key<'c>(
+        data: &ScenarioData,
+        configs: &'c ConfigMap,
+        input: InputSpec,
+        seed: u64,
+    ) -> KeyRef<'c> {
         let key_seed = if data.env.cluster().runtime_jitter > 0.0 {
             seed
         } else {
             0
         };
-        CacheKey {
+        KeyRef {
             fingerprint: data.fingerprint,
             input_bucket: (input.scale.to_bits(), input.payload_mb.to_bits()),
             seed: key_seed,
-            configs: configs
-                .as_slice()
-                .iter()
-                .map(|c| (c.vcpu.get().to_bits(), c.memory.get()))
-                .collect(),
+            configs: configs.as_slice(),
         }
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
+    fn shard(&self, hash: u64) -> &Mutex<Shard> {
+        &self.shards[(hash as usize) % SHARD_COUNT]
     }
 
-    fn cache_get(&self, key: &CacheKey) -> Option<SimResult> {
+    fn cache_get(&self, hash: u64, key: &KeyRef<'_>) -> Option<SimResult> {
         if self.options.cache_capacity == 0 {
             return None;
         }
-        self.shard_of(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .map
-            .get(key)
-            .cloned()
+        let shard = self.shard(hash).lock().expect("cache shard poisoned");
+        shard
+            .find(hash, key)
+            .map(|pos| shard.entries[pos].result.clone())
     }
 
     /// Memoises `result` under `key`; returns how many entries were
     /// evicted to make room (feeds the flight recorder's batch events).
-    fn cache_insert(&self, data: &ScenarioData, key: CacheKey, result: SimResult) -> usize {
+    fn cache_insert(
+        &self,
+        data: &ScenarioData,
+        hash: u64,
+        key: &KeyRef<'_>,
+        result: SimResult,
+    ) -> usize {
         if self.options.cache_capacity == 0 {
             return 0;
         }
         let per_shard = (self.options.cache_capacity / SHARD_COUNT).max(1);
-        let mut shard = self.shard_of(&key).lock().expect("cache shard poisoned");
+        let mut shard = self.shard(hash).lock().expect("cache shard poisoned");
+        if let Some(pos) = shard.find(hash, key) {
+            // A concurrent submitter memoised the same key first.
+            shard.entries[pos].result = result;
+            return 0;
+        }
+        shard.push(hash, CacheKey::new(key), result);
         let mut evicted = 0;
-        if shard.map.insert(key.clone(), result).is_none() {
-            shard.order.push_back(key);
-            while shard.map.len() > per_shard {
-                let oldest = shard.order.pop_front().expect("order tracks map");
-                shard.map.remove(&oldest);
-                self.count_eviction(data, oldest.fingerprint);
-                evicted += 1;
-            }
+        while shard.entries.len() > per_shard {
+            let oldest = shard.pop_oldest().expect("an over-full shard has entries");
+            self.count_eviction(data, oldest.key.fingerprint);
+            evicted += 1;
         }
         evicted
     }
@@ -1378,6 +1631,144 @@ mod tests {
         assert!(tiny_service.cached_entries() <= SHARD_COUNT);
         assert_eq!(uncached_service.cached_entries(), 0);
         assert_eq!(reference.stats().cache_hits, 0);
+    }
+
+    #[test]
+    fn bounded_cache_replay_keeps_the_fifo_figures() {
+        // 200 candidates with repeats through a 32-entry cache (2 per
+        // shard): probes on one scenario and batches on a jitter-free and a
+        // jittered one. Hits, misses and evictions depend on which shard
+        // each key lands in and on per-shard FIFO order, so these figures
+        // pin both.
+        let service = EvalService::new(EvalOptions {
+            threads: 1,
+            cache_capacity: 32,
+        });
+        let plain = service.register(env());
+        let jittered = service.register(jittery_env());
+        let pool = candidates(63);
+        for round in 0..10 {
+            for k in 0..10 {
+                plain.evaluate(&pool[(round * 17 + k * 5) % 21]).unwrap();
+            }
+            let batch: Vec<ConfigMap> = (0..10)
+                .map(|k| pool[(round * 7 + k * 4) % 12].clone())
+                .collect();
+            if round % 2 == 0 {
+                plain.evaluate_batch(&batch).unwrap();
+            } else {
+                jittered.evaluate_batch(&batch).unwrap();
+            }
+        }
+        let stats = service.stats();
+        assert_eq!(stats.requests, 200);
+        assert_eq!(
+            (
+                stats.cache_hits,
+                stats.cache_misses,
+                stats.evictions,
+                service.batch_dedup_hits(),
+                service.cached_entries()
+            ),
+            (99, 101, 70, 8, 31)
+        );
+    }
+
+    /// The cache key layout before keys were hashed in one pass, hashed
+    /// by its derived `Hash`.
+    #[derive(Hash)]
+    struct DerivedKey {
+        fingerprint: u64,
+        input_bucket: (u64, u64),
+        seed: u64,
+        configs: Box<[(u64, u32)]>,
+    }
+
+    /// A chain of `n` functions on a cluster with `jitter`.
+    fn chain_env(n: usize, jitter: f64) -> WorkflowEnvironment {
+        let mut b = WorkflowBuilder::new("chain");
+        let nodes: Vec<_> = (0..n).map(|i| b.add_function(format!("f{i}"))).collect();
+        for pair in nodes.windows(2) {
+            b.add_edge(pair[0], pair[1]).unwrap();
+        }
+        let wf = b.build().unwrap();
+        let mut p = ProfileSet::new();
+        for (i, &node) in nodes.iter().enumerate() {
+            let name = format!("f{i}");
+            p.insert(
+                node,
+                FunctionProfile::builder(&name).serial_ms(100.0).build(),
+            );
+        }
+        WorkflowEnvironment::builder(wf, p)
+            .cluster(ClusterSpec::paper_testbed_with_jitter(jitter))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn one_pass_key_hash_equals_the_derived_hash() {
+        // 1 to 70 functions: past KEY_BLOCK, so keys fed in several
+        // blocks hash the same bytes too.
+        for jitter in [0.0, 0.05] {
+            for n in 1..=70 {
+                let service = EvalService::default();
+                let handle = service.register(chain_env(n, jitter));
+                let configs = ConfigMap::from_vec(
+                    (0..n)
+                        .map(|i| ResourceConfig::new(0.5 + 0.25 * i as f64, 128 + 64 * i as u32))
+                        .collect(),
+                );
+                let input = InputSpec::new(1.5, 32.0);
+                let seed = 0xfeed + n as u64;
+                let key = EvalService::key(&handle.data, &configs, input, seed);
+                let derived = DerivedKey {
+                    fingerprint: handle.fingerprint(),
+                    input_bucket: (1.5f64.to_bits(), 32.0f64.to_bits()),
+                    seed: if jitter > 0.0 { seed } else { 0 },
+                    configs: configs
+                        .as_slice()
+                        .iter()
+                        .map(|c| (c.vcpu.get().to_bits(), c.memory.get()))
+                        .collect(),
+                };
+                let mut hasher = DefaultHasher::new();
+                std::hash::Hash::hash(&derived, &mut hasher);
+                assert_eq!(key.hash(), hasher.finish(), "n = {n}, jitter = {jitter}");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_entries_sharing_a_hash_stay_apart() {
+        let configs: Vec<ConfigMap> = candidates(3);
+        let key = |i: usize| KeyRef {
+            fingerprint: 7,
+            input_bucket: (0, 0),
+            seed: 0,
+            configs: configs[i].as_slice(),
+        };
+        let service = EvalService::default();
+        let handle = service.register(env());
+        let base = handle.evaluate(&handle.env().base_configs()).unwrap();
+        // Three keys forced onto one hash: each is found by its content.
+        let mut shard = Shard::default();
+        for i in 0..3 {
+            shard.push(42, CacheKey::new(&key(i)), base.clone());
+        }
+        for i in 0..3 {
+            assert_eq!(shard.find(42, &key(i)), Some(i));
+        }
+        // Evicting the oldest leaves the younger twins reachable.
+        assert!(shard.pop_oldest().unwrap().key.view().same(&key(0)));
+        assert_eq!(shard.find(42, &key(0)), None);
+        assert_eq!(shard.find(42, &key(2)), Some(1));
+        // Retaining renumbers and re-chains what is left.
+        shard.retain(|k| k.view().same(&key(2)));
+        assert_eq!(shard.find(42, &key(1)), None);
+        assert_eq!(shard.find(42, &key(2)), Some(0));
+        assert!(shard.pop_oldest().is_some());
+        assert!(shard.index.is_empty());
     }
 
     #[test]

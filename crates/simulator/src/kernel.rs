@@ -86,6 +86,7 @@
 //!   regression shows up in `aarc bench`'s allocs/sim gate, not just in
 //!   wall-clock.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -428,20 +429,20 @@ pub struct SimScratch {
     // Result staging: outcome rows accumulate here and are frozen into one
     // refcounted slab per chunk (batch path) or per result (solo paths).
     rows: Vec<NodeSimOutcome>,
-    // Retired result slabs kept for recycling. Once every `SimResult`
+    // Result slabs kept for recycling, oldest first. Once every `SimResult`
     // sharing a slab has been dropped the allocation becomes unique again
-    // (`Arc::get_mut` succeeds) and the next freeze of the same length
-    // overwrites it in place instead of allocating. Without this, a batch
-    // retires its whole band of chunk slabs at once — a contiguous free
-    // large enough to make glibc trim the heap top every batch, and the
-    // page-fault churn of re-growing it dominated the sequential path.
-    slab_pool: Vec<Arc<[NodeSimOutcome]>>,
+    // (`Arc::get_mut` succeeds) and a freeze of the same length overwrites
+    // it in place instead of allocating. Without this, a batch retires its
+    // whole band of chunk slabs at once — a contiguous free large enough
+    // to make glibc trim the heap top every batch, and the page-fault
+    // churn of re-growing it dominated the sequential path.
+    slab_pool: VecDeque<Arc<[NodeSimOutcome]>>,
 }
 
-/// Retired-slab slots a scratch keeps for recycling. Covers the in-flight
-/// chunk count of the largest batches the scheduler produces (chunk sizing
-/// targets 64 chunks per batch) plus solo-path slabs; overflow slabs simply
-/// stay unpooled and free normally.
+/// Slabs a scratch keeps for recycling. Covers the in-flight chunk count of
+/// the largest batches the scheduler produces (chunk sizing targets 64
+/// chunks per batch) plus solo-path slabs; overflow slabs simply stay
+/// unpooled and free normally.
 const SLAB_POOL_CAP: usize = 128;
 
 /// Work counters accumulated by the simulation kernel.
@@ -573,36 +574,36 @@ impl SimScratch {
     /// allocation (plus memcpy) per freeze, counted against
     /// [`KernelCounters::result_slab_allocs`].
     ///
-    /// Prefers recycling: a pooled slab whose every result has been
-    /// dropped is overwritten wholesale and handed out again, allocating
-    /// nothing. Slabs still referenced by live results (or pinned by the
-    /// memo-cache) are never touched — `Arc::get_mut` proves uniqueness —
-    /// so recycling cannot alter any observable result bytes.
+    /// Prefers recycling, in O(1): a freeze looks only at the oldest pooled
+    /// slab. If every result sharing it has been dropped and its length
+    /// fits, it is overwritten wholesale and handed out again, allocating
+    /// nothing; a batch's retired band of chunk slabs comes back this way
+    /// in order. The oldest slab then moves to the back of the pool, or out
+    /// of it if it is retired but of another length, so the pool adapts
+    /// when chunk or workflow sizes change (at the price of one slab per
+    /// switch for a caller that alternates sizes). Slabs still referenced
+    /// by live results (or pinned by the memo-cache) are never touched —
+    /// `Arc::get_mut` proves uniqueness — so recycling cannot alter any
+    /// observable result bytes. A retired slab reaches the front within
+    /// `SLAB_POOL_CAP` freezes, however many pooled slabs stay pinned.
     fn freeze_rows(&mut self) -> Arc<[NodeSimOutcome]> {
-        let mut dead = None;
-        for (i, slot) in self.slab_pool.iter_mut().enumerate() {
-            if slot.len() == self.rows.len() {
-                if let Some(buf) = Arc::get_mut(slot) {
+        if let Some(mut oldest) = self.slab_pool.pop_front() {
+            match Arc::get_mut(&mut oldest) {
+                Some(buf) if buf.len() == self.rows.len() => {
                     buf.copy_from_slice(&self.rows);
-                    return Arc::clone(slot);
+                    self.slab_pool.push_back(Arc::clone(&oldest));
+                    return oldest;
                 }
-            } else if Arc::get_mut(slot).is_some() {
-                // A retired slab of the wrong length: remember it as the
-                // replacement victim so the pool adapts when chunk or
-                // workflow sizes change.
-                dead.get_or_insert(i);
+                Some(_) => {}
+                None => self.slab_pool.push_back(oldest),
             }
         }
         let slab: Arc<[NodeSimOutcome]> = self.rows.as_slice().into();
         self.counters.result_slab_allocs += 1;
         self.counters.result_slab_bytes +=
             (slab.len() * std::mem::size_of::<NodeSimOutcome>()) as u64;
-        if !slab.is_empty() {
-            if self.slab_pool.len() < SLAB_POOL_CAP {
-                self.slab_pool.push(Arc::clone(&slab));
-            } else if let Some(i) = dead {
-                self.slab_pool[i] = Arc::clone(&slab);
-            }
+        if !slab.is_empty() && self.slab_pool.len() < SLAB_POOL_CAP {
+            self.slab_pool.push_back(Arc::clone(&slab));
         }
         slab
     }
@@ -1880,6 +1881,119 @@ mod tests {
             assert!(again.iter().all(|r| r.is_ok()), "pass {pass}");
         }
         assert_eq!(scratch.counters().result_slab_allocs, 2);
+    }
+
+    /// A distinct jitter-free configuration per `k`.
+    fn solo_configs(k: usize) -> ConfigMap {
+        ConfigMap::uniform(
+            3,
+            ResourceConfig::new(1.0 + (k % 8) as f64, 512 + 64 * k as u32),
+        )
+    }
+
+    #[test]
+    fn dropped_solo_results_are_recycled_without_new_allocations() {
+        let scenario = compiled(0.0);
+        let mut scratch = SimScratch::new();
+        for k in 0..20 {
+            let fresh = scenario
+                .simulate(
+                    &mut SimScratch::new(),
+                    &solo_configs(k),
+                    InputSpec::nominal(),
+                    0,
+                )
+                .unwrap();
+            let recycled = scenario
+                .simulate(&mut scratch, &solo_configs(k), InputSpec::nominal(), 0)
+                .unwrap();
+            assert_eq!(recycled, fresh);
+        }
+        assert_eq!(scratch.counters().result_slab_allocs, 1);
+    }
+
+    #[test]
+    fn pinned_solo_results_cost_one_slab_each() {
+        let scenario = compiled(0.0);
+        let mut scratch = SimScratch::new();
+        let kept: Vec<SimResult> = (0..2 * SLAB_POOL_CAP)
+            .map(|k| {
+                scenario
+                    .simulate(&mut scratch, &solo_configs(k), InputSpec::nominal(), 0)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(
+            scratch.counters().result_slab_allocs,
+            2 * SLAB_POOL_CAP as u64
+        );
+        for (k, result) in kept.iter().enumerate() {
+            let fresh = scenario
+                .simulate(
+                    &mut SimScratch::new(),
+                    &solo_configs(k),
+                    InputSpec::nominal(),
+                    0,
+                )
+                .unwrap();
+            assert_eq!(result, &fresh, "a pinned slab was overwritten");
+        }
+    }
+
+    #[test]
+    fn a_pool_of_pinned_slabs_recycles_a_retired_one_within_a_bound() {
+        let scenario = compiled(0.0);
+        let mut scratch = SimScratch::new();
+        let simulate = |scratch: &mut SimScratch, k: usize| {
+            scenario
+                .simulate(scratch, &solo_configs(k), InputSpec::nominal(), 0)
+                .unwrap()
+        };
+        let mut kept: Vec<SimResult> = (0..SLAB_POOL_CAP)
+            .map(|k| simulate(&mut scratch, k))
+            .collect();
+        // Retire one slab from the middle of a pool of pinned ones, then
+        // keep pinning every new result.
+        kept.swap_remove(SLAB_POOL_CAP / 2);
+        let allocs = |scratch: &SimScratch| scratch.counters().result_slab_allocs;
+        let before = allocs(&scratch);
+        let mut freezes = 0;
+        while allocs(&scratch) == before + freezes {
+            assert!(
+                freezes < SLAB_POOL_CAP as u64,
+                "the retired slab was never recycled"
+            );
+            kept.push(simulate(&mut scratch, freezes as usize));
+            freezes += 1;
+        }
+        assert_eq!(allocs(&scratch), before + freezes - 1);
+        for (k, result) in kept[SLAB_POOL_CAP - 1..].iter().enumerate() {
+            let fresh = simulate(&mut SimScratch::new(), k);
+            assert_eq!(result, &fresh);
+        }
+    }
+
+    #[test]
+    fn a_retired_slab_of_another_length_gives_up_its_place() {
+        let scenario = compiled(0.0);
+        let configs = ConfigMap::uniform(3, ResourceConfig::new(2.0, 1_024));
+        let jobs = [(&configs, 0), (&configs, 1)];
+        let mut scratch = SimScratch::new();
+        let mut batch = BatchSim::new(&scenario, InputSpec::nominal());
+        // Alternate 3-row solo slabs with 6-row chunk slabs, dropping every
+        // result at once: each switch of length costs one slab, and retired
+        // slabs of a stale length do not pile up in the pool.
+        for _ in 0..10 {
+            drop(scenario.simulate(&mut scratch, &configs, InputSpec::nominal(), 0));
+            drop(batch.simulate_chunk(&mut scratch, &jobs));
+            assert_eq!(scratch.slab_pool.len(), 1);
+        }
+        assert_eq!(scratch.counters().result_slab_allocs, 20);
+        // A run of one length recycles again.
+        for _ in 0..10 {
+            drop(batch.simulate_chunk(&mut scratch, &jobs));
+        }
+        assert_eq!(scratch.counters().result_slab_allocs, 20);
     }
 
     #[test]
