@@ -20,18 +20,22 @@
 //!   hash, cache lookup and insertion and the probe-anchor hand-off a
 //!   search's probe pays (registration is included, under 1% of a pass);
 //! * `probe_kernel` — the bare [`CompiledScenario`] calls that path makes:
-//!   an incremental re-simulation off the last exact probe, else a full
-//!   one.
+//!   an incremental re-simulation off the last stall-free probe, else a
+//!   full one.
 //!
-//! `probe_service / probe_kernel` is the service's overhead per probe.
+//! `probe_service / probe_kernel` is the service's overhead per probe. Both
+//! probe shapes also run on `wide-40`, a generated 40-function workflow
+//! whose summed base demand exceeds its host, so each probe's relaxed
+//! timeline must pass the kernel's interval sweep to stay off the event
+//! loop.
 //!
 //! [`ScenarioHandle::evaluate`]: aarc_simulator::ScenarioHandle::evaluate
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 
 use aarc_simulator::kernel::{BatchSim, CompiledScenario, SimResult, SimScratch};
-use aarc_simulator::{ConfigMap, EvalOptions, EvalService, ResourceConfig};
-use aarc_workloads::paper_workloads;
+use aarc_simulator::{ConfigMap, EvalOptions, EvalService, ResourceConfig, WorkflowEnvironment};
+use aarc_workloads::{paper_workloads, RandomWorkloadConfig, RandomWorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,7 +43,7 @@ const BATCH_SIZES: [usize; 3] = [1, 64, 4096];
 
 /// Deterministic suffix-edit candidate chain: each candidate re-tunes one
 /// node of its predecessor, starting from the base configuration.
-fn candidate_chain(env: &aarc_simulator::WorkflowEnvironment, len: usize) -> Vec<ConfigMap> {
+fn candidate_chain(env: &WorkflowEnvironment, len: usize) -> Vec<ConfigMap> {
     let space = *env.space();
     let n = env.workflow().len();
     let mut rng = StdRng::seed_from_u64(0xba7c);
@@ -55,69 +59,84 @@ fn candidate_chain(env: &aarc_simulator::WorkflowEnvironment, len: usize) -> Vec
         .collect()
 }
 
+fn compile(env: &WorkflowEnvironment) -> CompiledScenario {
+    CompiledScenario::compile(
+        env.workflow(),
+        env.profiles(),
+        *env.cluster(),
+        *env.pricing(),
+    )
+    .expect("workloads compile")
+}
+
+/// The two probe shapes over `chain` on `env`.
+fn bench_probes(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    env: &WorkflowEnvironment,
+    chain: &[ConfigMap],
+) {
+    let scenario = compile(env);
+    group.bench_with_input(
+        BenchmarkId::new(format!("probe_service/{name}"), chain.len()),
+        &chain,
+        |b, chain| {
+            b.iter(|| {
+                let service = EvalService::with_threads(1);
+                let handle = service.register(env.clone());
+                for configs in chain.iter() {
+                    std::hint::black_box(handle.evaluate(configs).expect("probe evaluates"));
+                }
+            });
+        },
+    );
+
+    group.bench_with_input(
+        BenchmarkId::new(format!("probe_kernel/{name}"), chain.len()),
+        &chain,
+        |b, chain| {
+            let mut scratch = SimScratch::new();
+            let (input, seed) = (env.input(), env.seed());
+            b.iter(|| {
+                let mut anchor: Option<(&ConfigMap, SimResult)> = None;
+                for configs in chain.iter() {
+                    let result = anchor
+                        .as_ref()
+                        .and_then(|(anchor_cfgs, anchor_result)| {
+                            scenario.try_incremental(
+                                &mut scratch,
+                                configs,
+                                input,
+                                seed,
+                                anchor_cfgs,
+                                anchor_result,
+                            )
+                        })
+                        .unwrap_or_else(|| {
+                            scenario
+                                .simulate(&mut scratch, configs, input, seed)
+                                .expect("probe simulates")
+                        });
+                    let result = std::hint::black_box(result);
+                    // The service re-anchors only on a stall-free probe.
+                    if result.stall_free() {
+                        anchor = Some((configs, result));
+                    }
+                }
+            });
+        },
+    );
+}
+
 fn bench_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_simulation");
     group.sample_size(10);
+    let probes = *BATCH_SIZES.last().unwrap();
     for workload in paper_workloads() {
         let env = workload.env().clone();
-        let scenario = CompiledScenario::compile(
-            env.workflow(),
-            env.profiles(),
-            *env.cluster(),
-            *env.pricing(),
-        )
-        .expect("paper workloads compile");
-        let chain = candidate_chain(&env, *BATCH_SIZES.last().unwrap());
-
-        group.bench_with_input(
-            BenchmarkId::new(format!("probe_service/{}", workload.name()), chain.len()),
-            &chain,
-            |b, chain| {
-                b.iter(|| {
-                    let service = EvalService::with_threads(1);
-                    let handle = service.register(env.clone());
-                    for configs in chain {
-                        std::hint::black_box(handle.evaluate(configs).expect("probe evaluates"));
-                    }
-                });
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new(format!("probe_kernel/{}", workload.name()), chain.len()),
-            &chain,
-            |b, chain| {
-                let mut scratch = SimScratch::new();
-                let (input, seed) = (env.input(), env.seed());
-                b.iter(|| {
-                    let mut anchor: Option<(&ConfigMap, SimResult)> = None;
-                    for configs in chain {
-                        let result = anchor
-                            .as_ref()
-                            .and_then(|(anchor_cfgs, anchor_result)| {
-                                scenario.try_incremental(
-                                    &mut scratch,
-                                    configs,
-                                    input,
-                                    seed,
-                                    anchor_cfgs,
-                                    anchor_result,
-                                )
-                            })
-                            .unwrap_or_else(|| {
-                                scenario
-                                    .simulate(&mut scratch, configs, input, seed)
-                                    .expect("probe simulates")
-                            });
-                        let result = std::hint::black_box(result);
-                        // The service re-anchors only on an exact probe.
-                        if scenario.relaxation_exact(configs) {
-                            anchor = Some((configs, result));
-                        }
-                    }
-                });
-            },
-        );
+        let scenario = compile(&env);
+        let chain = candidate_chain(&env, probes);
+        bench_probes(&mut group, workload.name(), &env, &chain);
 
         for &size in &BATCH_SIZES {
             let candidates = &chain[..size];
@@ -177,6 +196,25 @@ fn bench_batch(c: &mut Criterion) {
             );
         }
     }
+
+    let wide = RandomWorkloadGenerator::new(
+        RandomWorkloadConfig {
+            layers: 8,
+            max_width: 9,
+            ..RandomWorkloadConfig::default()
+        },
+        5,
+    )
+    .generate();
+    let env = wide.env();
+    let base_vcpu: f64 = env
+        .base_configs()
+        .as_slice()
+        .iter()
+        .map(|c| c.vcpu.get())
+        .sum();
+    assert!(base_vcpu > env.cluster().vcpus_per_host);
+    bench_probes(&mut group, "wide-40", env, &candidate_chain(env, probes));
     group.finish();
 }
 

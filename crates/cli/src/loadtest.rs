@@ -154,6 +154,39 @@ impl Stats {
     }
 }
 
+/// Each tenant's live-session count as last polled; their sum is the
+/// concurrency a poll observes.
+struct LiveCounts {
+    tenants: Vec<AtomicU64>,
+    /// Held sessions never finish, so a tenant's count only grows. Two
+    /// clients can poll one tenant at once and land their replies out of
+    /// order; keeping the maximum stops the older, smaller reply from
+    /// overwriting the newer one.
+    only_grow: bool,
+}
+
+impl LiveCounts {
+    fn new(tenants: usize, only_grow: bool) -> Self {
+        LiveCounts {
+            tenants: (0..tenants).map(|_| AtomicU64::new(0)).collect(),
+            only_grow,
+        }
+    }
+
+    fn set(&self, tenant: usize, live: u64) {
+        let count = &self.tenants[tenant];
+        if self.only_grow {
+            count.fetch_max(live, Ordering::Relaxed);
+        } else {
+            count.store(live, Ordering::Relaxed);
+        }
+    }
+
+    fn sum(&self) -> u64 {
+        self.tenants.iter().map(|l| l.load(Ordering::Relaxed)).sum()
+    }
+}
+
 fn key_of(tenant: usize) -> String {
     format!("load-key-{tenant}")
 }
@@ -310,7 +343,7 @@ pub fn run_loadtest(options: &LoadtestOptions) -> Result<(), String> {
     let tenant_done: Vec<AtomicBool> = (0..options.tenants)
         .map(|_| AtomicBool::new(false))
         .collect();
-    let tenant_live: Vec<AtomicU64> = (0..options.tenants).map(|_| AtomicU64::new(0)).collect();
+    let tenant_live = LiveCounts::new(options.tenants, options.hold);
     let next_tenant = AtomicUsize::new(0);
     let attempts = AtomicU64::new(0);
     let attempt_budget = (options.concurrent as u64) * 50 + 1000;
@@ -335,10 +368,8 @@ pub fn run_loadtest(options: &LoadtestOptions) -> Result<(), String> {
                 let key = key_of(tenant);
                 let iteration = || -> Result<(), String> {
                     let live = poll_live(&stats, addr, &key)?;
-                    tenant_live[tenant].store(live, Ordering::Relaxed);
-                    stats.observe_concurrency(
-                        tenant_live.iter().map(|l| l.load(Ordering::Relaxed)).sum(),
-                    );
+                    tenant_live.set(tenant, live);
+                    stats.observe_concurrency(tenant_live.sum());
                     if live >= per_tenant as u64 {
                         tenant_done[tenant].store(true, Ordering::Relaxed);
                         return Ok(());
@@ -467,6 +498,26 @@ mod tests {
         assert_eq!(spec.name, "loadtest");
         aarc_spec::validate(&spec).unwrap();
         aarc_spec::compile(&spec).unwrap();
+    }
+
+    #[test]
+    fn a_stale_live_count_cannot_lower_a_held_peak() {
+        let stats = Stats::new();
+        let live = LiveCounts::new(3, true);
+        live.set(0, 4);
+        live.set(1, 4);
+        // Two clients poll tenant 2 at once: the newer reply (4) is stored
+        // first and the older one (3) last, before either client sums.
+        live.set(2, 4);
+        live.set(2, 3);
+        stats.observe_concurrency(live.sum());
+        assert_eq!(stats.concurrent_peak.load(Ordering::Relaxed), 12);
+
+        // Without hold, sessions finish and the latest reply wins.
+        let live = LiveCounts::new(1, false);
+        live.set(0, 4);
+        live.set(0, 3);
+        assert_eq!(live.sum(), 3);
     }
 
     #[test]

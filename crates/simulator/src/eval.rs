@@ -483,7 +483,7 @@ struct ScenarioData {
     scenario: CompiledScenario,
     fingerprint: u64,
     counters: Arc<ScenarioCounters>,
-    /// The most recent exact probe `(configs, result)` of this
+    /// The most recent stall-free probe `(configs, result)` of this
     /// registration, used as the incremental anchor for the next probe.
     /// Searcher probes mutate one path suffix per step, so consecutive
     /// probes usually share most of their timeline; reuse is exact
@@ -888,11 +888,12 @@ impl EvalService {
         data.counters.misses.fetch_add(1, Ordering::Relaxed);
         let mut scratch = self.take_scratch();
         // Probe fast path: re-simulate incrementally off this
-        // registration's previous exact probe when the kernel can prove
-        // bit-identity, and simulate from scratch otherwise. Reuse is
+        // registration's previous stall-free probe when the kernel can
+        // prove bit-identity, and simulate from scratch otherwise. Reuse is
         // exact either way, so a stale or raced anchor can never change a
         // result — only how much work it saves. The anchor is taken out
-        // for the simulation and put back (or replaced) after it.
+        // for the simulation and put back after it; a result the kernel
+        // minted as `stall_free` replaces it, and no other can.
         let mut anchor = data
             .probe_anchor
             .lock()
@@ -914,7 +915,7 @@ impl EvalService {
         };
         self.put_scratch(scratch);
         if let Ok(result) = &result {
-            if data.scenario.relaxation_exact(configs) {
+            if result.stall_free() {
                 match &mut anchor {
                     Some((anchor_cfgs, anchor_result)) => {
                         anchor_cfgs.clone_from(configs);

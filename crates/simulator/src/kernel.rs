@@ -39,22 +39,26 @@
 //!
 //! # Round two: the relaxation fast path
 //!
-//! When runtime jitter is off and a candidate provably cannot stall on
-//! capacity (see [`CompiledScenario::relaxation_exact`]), the event loop
-//! degenerates: every function starts the instant its last input arrives,
-//! so the whole simulation is one pass over the DAG in topological order —
-//! `ready = max(pred.end + transfer)` pulled through a predecessor CSR, no
-//! event heap, no placement bookkeeping. [`CompiledScenario::simulate`]
-//! routes there automatically and falls back to the reference event loop
-//! ([`CompiledScenario::simulate_reference`]) otherwise, performing the
-//! same floating-point operations in the same order either way, so results
-//! stay bit-identical. On top of that sit incremental re-simulation
-//! ([`CompiledScenario::try_incremental`]: reuse an anchor's timeline for
-//! every node not downstream of a config change — the searchers'
-//! `PathConfigState` probes touch one path suffix at a time) and
+//! When runtime jitter is off and a candidate cannot stall on capacity, the
+//! event loop degenerates: every function starts the instant its last input
+//! arrives, so the whole simulation is one pass over the DAG in topological
+//! order — `ready = max(pred.end + transfer)` pulled through a predecessor
+//! CSR, no event heap, no placement bookkeeping. Every kernel path runs
+//! that relaxation first and keeps it only when the timeline rule
+//! (`CompiledScenario::relaxation_exact`) proves it from the relaxed
+//! timeline itself: the peak demand of the functions running at any one
+//! tick fits one host. Otherwise the path runs the reference event loop
+//! ([`CompiledScenario::simulate_reference`]). Both perform the same
+//! floating-point operations in the same order, so results stay
+//! bit-identical. On top of that sit incremental re-simulation
+//! ([`CompiledScenario::try_incremental`]: reuse a stall-free anchor's
+//! timeline for every node not downstream of a config change — the
+//! searchers' `PathConfigState` probes touch one path suffix at a time) and
 //! [`BatchSim::simulate_chunk`], the one chained path: it runs one
-//! scheduler chunk so each result anchors the next, with the per-edge
-//! transfer table computed once per batch.
+//! scheduler chunk so each stall-free result anchors the next, with the
+//! per-edge transfer table computed once per batch. A result records
+//! whether it is such a timeline ([`SimResult::stall_free`]), so no caller
+//! has to re-derive it.
 //!
 //! # Round three: data layout
 //!
@@ -107,13 +111,14 @@ use crate::resources::ResourceConfig;
 use crate::trace::{ExecutionTrace, TraceEvent};
 
 /// Headroom (in vCPUs) the no-stall proof leaves below a host's capacity.
-/// First-fit placement accumulates `free_vcpu -= / +=` in f64, whose drift
-/// over a workflow is bounded by a few ULPs per operation (~1e-13 at the
-/// paper testbed's 96-vCPU magnitude); 1e-6 dominates that by orders of
-/// magnitude while staying far below the 0.1-vCPU configuration grid, so
-/// the check never admits a candidate the event loop could stall on and
-/// never rejects a realistically-sized one. Memory needs no margin: u32
-/// demands summed in u64 compare exactly.
+/// First-fit placement accumulates `free_vcpu -= / +=` in f64, and so does
+/// the proof's own sweep; the drift of either over a workflow is bounded by
+/// a few ULPs per operation (~1e-13 at the paper testbed's 96-vCPU
+/// magnitude). 1e-6 dominates that by orders of magnitude while staying far
+/// below the 0.1-vCPU configuration grid, so the check never admits a
+/// candidate the event loop could stall on and never rejects a
+/// realistically-sized one. Memory needs no margin: u32 demands summed in
+/// u64 compare exactly.
 const NO_STALL_VCPU_MARGIN: f64 = 1e-6;
 
 /// Per-node outcome of one simulation, as observed by the searchers.
@@ -152,6 +157,8 @@ pub struct NodeSimOutcome {
 /// [`ExecutionReport`](crate::executor::ExecutionReport) can be
 /// re-materialised on demand (see
 /// [`ScenarioHandle::materialize_result`](crate::eval::ScenarioHandle::materialize_result)).
+/// Equality and `Debug` ignore which kernel path produced a result
+/// ([`SimResult::stall_free`]): every path yields the same bits.
 #[derive(Clone)]
 pub struct SimResult {
     slab: Arc<[NodeSimOutcome]>,
@@ -160,6 +167,7 @@ pub struct SimResult {
     makespan_ms: f64,
     total_cost: f64,
     any_oom: bool,
+    stall_free: bool,
     input: InputSpec,
     seed: u64,
 }
@@ -208,6 +216,16 @@ impl SimResult {
     /// `true` when no function failed and the makespan is within `slo_ms`.
     pub fn meets_slo(&self, slo_ms: f64) -> bool {
         !self.any_oom && self.makespan_ms <= slo_ms
+    }
+
+    /// `true` when the kernel proved this timeline stall-free: runtime
+    /// jitter is off and the timeline rule accepted the candidate's
+    /// topological relaxation, so every function started the tick its last
+    /// input arrived. Only such a result can anchor
+    /// [`CompiledScenario::try_incremental`]. Results of the event loop
+    /// report `false`, even when no function happened to wait.
+    pub fn stall_free(&self) -> bool {
+        self.stall_free
     }
 
     /// Per-function outcomes, indexed by node index.
@@ -392,12 +410,14 @@ impl Columns {
 
 /// The scalar reductions of one simulation, computed over the columns (or
 /// staged rows) in node order — the same order every result path has always
-/// used, so they are bit-identical across paths.
+/// used, so they are bit-identical across paths — plus the path's
+/// [`SimResult::stall_free`] record.
 #[derive(Debug, Clone, Copy)]
 struct RelaxSummary {
     makespan_ms: f64,
     total_cost: f64,
     any_oom: bool,
+    stall_free: bool,
 }
 
 /// The reusable per-worker simulation arena.
@@ -419,13 +439,14 @@ pub struct SimScratch {
     counters: KernelCounters,
     // Relaxation-path buffers: the dense SoA outcome columns, the packed
     // changed/affected masks of an incremental run, the BFS frontier that
-    // closes `changed` over descendants, and the per-pred-edge transfer
-    // table.
+    // closes `changed` over descendants, the per-pred-edge transfer table,
+    // and the timeline rule's sorted start and end ticks.
     cols: Columns,
     changed: BitMask,
     affected: BitMask,
     frontier: Vec<u32>,
     pred_transfer: Vec<f64>,
+    sweep: Vec<u64>,
     // Result staging: outcome rows accumulate here and are frozen into one
     // refcounted slab per chunk (batch path) or per result (solo paths).
     rows: Vec<NodeSimOutcome>,
@@ -567,6 +588,7 @@ impl SimScratch {
             makespan_ms: fresh.iter().map(|e| e.end_ms).fold(0.0, f64::max),
             total_cost: fresh.iter().map(|e| e.cost).sum(),
             any_oom: fresh.iter().any(|e| e.oom),
+            stall_free: false,
         }
     }
 
@@ -619,6 +641,7 @@ impl SimScratch {
             makespan_ms: summary.makespan_ms,
             total_cost: summary.total_cost,
             any_oom: summary.any_oom,
+            stall_free: summary.stall_free,
             input,
             seed,
         }
@@ -809,9 +832,10 @@ impl CompiledScenario {
     /// Runs one simulation and returns the lean [`SimResult`] — the hot
     /// path of every search method.
     ///
-    /// Routes automatically: the heap-free topological relaxation when it
-    /// is provably bit-identical ([`CompiledScenario::relaxation_exact`]),
-    /// the reference event loop otherwise. Either way the result is
+    /// Routes automatically: on a jitter-free cluster it runs the heap-free
+    /// topological relaxation and keeps it when the timeline rule proves it
+    /// bit-identical to the event loop (`relaxation_exact`); it runs the
+    /// reference event loop otherwise. Either way the result is
     /// bit-identical to [`CompiledScenario::simulate_reference`].
     ///
     /// # Errors
@@ -826,14 +850,17 @@ impl CompiledScenario {
         input: InputSpec,
         seed: u64,
     ) -> Result<SimResult, SimulatorError> {
-        if self.relaxation_exact(configs) {
+        if self.relaxable() {
             self.validate(configs)?;
             let mut transfer = std::mem::take(&mut scratch.pred_transfer);
             self.fill_pred_transfer(input, &mut transfer);
             scratch.rows.clear();
-            let summary = self.relax_cols(scratch, configs.as_slice(), input, &transfer, None);
+            let summary =
+                self.relax_stall_free(scratch, configs.as_slice(), input, &transfer, None);
             scratch.pred_transfer = transfer;
-            return Ok(scratch.mint_staged(summary, input, seed));
+            if let Some(summary) = summary {
+                return Ok(scratch.mint_staged(summary, input, seed));
+            }
         }
         self.simulate_reference(scratch, configs, input, seed)
     }
@@ -843,6 +870,7 @@ impl CompiledScenario {
     /// `simulate`: [`CompiledScenario::simulate`] routes here whenever
     /// exactness can't be proven, and the equivalence proptests and the
     /// bench harness call it directly to measure the fast path against it.
+    /// Its results never count as [`SimResult::stall_free`].
     ///
     /// # Errors
     ///
@@ -868,12 +896,14 @@ impl CompiledScenario {
     ///
     /// Returns `None` when incremental reuse cannot be *proven*
     /// bit-identical to [`CompiledScenario::simulate`]: runtime jitter
-    /// enabled, either configuration at stall risk, an anchor for a
-    /// different input, or `configs` invalid (the caller's fallback to
-    /// `simulate` then reproduces the validation error). `anchor_result`
-    /// must be the result of simulating `anchor_configs` against *this*
-    /// scenario — the caller owns that pairing; within a chunk
-    /// [`BatchSim::simulate_chunk`] maintains it automatically.
+    /// enabled, an anchor that is not [`SimResult::stall_free`] or is for a
+    /// different input, `configs` invalid (the caller's fallback to
+    /// `simulate` then reproduces the validation error), or a candidate
+    /// whose relaxed timeline the timeline rule rejects (the fallback then
+    /// runs the event loop, which alone counts the simulation).
+    /// `anchor_result` must be the result of simulating `anchor_configs`
+    /// against *this* scenario — the caller owns that pairing; within a
+    /// chunk [`BatchSim::simulate_chunk`] maintains it automatically.
     pub fn try_incremental(
         &self,
         scratch: &mut SimScratch,
@@ -883,8 +913,9 @@ impl CompiledScenario {
         anchor_configs: &ConfigMap,
         anchor_result: &SimResult,
     ) -> Option<SimResult> {
-        if !self.relaxation_exact(configs)
-            || !self.relaxation_exact_slice(anchor_configs.as_slice())
+        if !self.relaxable()
+            || !anchor_result.stall_free()
+            || anchor_configs.len() != self.n
             || anchor_result.len() != self.n
             || anchor_result.input() != input
             || self.validate(configs).is_err()
@@ -895,7 +926,7 @@ impl CompiledScenario {
         self.fill_pred_transfer(input, &mut transfer);
         scratch.cols.load(anchor_result.executions());
         scratch.rows.clear();
-        let summary = self.relax_cols(
+        let summary = self.relax_stall_free(
             scratch,
             configs.as_slice(),
             input,
@@ -903,34 +934,133 @@ impl CompiledScenario {
             Some(anchor_configs.as_slice()),
         );
         scratch.pred_transfer = transfer;
-        Some(scratch.mint_staged(summary, input, seed))
+        summary.map(|summary| scratch.mint_staged(summary, input, seed))
     }
 
-    /// Returns `true` when the topological relaxation path is *provably*
-    /// bit-identical to the event loop for `configs`: runtime jitter is off
-    /// (no RNG draws) and a single host alone can absorb the sum of every
-    /// function's demand, so first-fit placement can never stall no matter
-    /// how executions overlap. Checking one host against the *total* demand
-    /// is deliberate — weaker conditions ("all candidates fit somewhere
-    /// simultaneously") are unsound under first-fit fragmentation. The
-    /// memory sum is exact (u32 demands summed in u64); the vCPU sum keeps
-    /// [`NO_STALL_VCPU_MARGIN`] of headroom for f64 accumulation drift.
-    pub fn relaxation_exact(&self, configs: &ConfigMap) -> bool {
-        configs.len() == self.n && self.relaxation_exact_slice(configs.as_slice())
+    /// Whether the relaxation can be tried at all: jitter draws one RNG
+    /// value per start in start order, which only the event loop
+    /// reproduces, and a cluster of zero hosts keeps the event loop too.
+    fn relaxable(&self) -> bool {
+        let jittered = self.cluster.runtime_jitter > 0.0;
+        !jittered && self.cluster.hosts > 0
     }
 
-    fn relaxation_exact_slice(&self, configs: &[ResourceConfig]) -> bool {
-        if self.cluster.runtime_jitter > 0.0 || self.cluster.hosts == 0 || configs.len() != self.n {
-            return false;
+    /// Relaxes `cfgs` (in full, or as an edit of the anchor timeline held
+    /// in `scratch.cols`) and keeps the result only if the timeline rule
+    /// proves it stall-free. On success the candidate's rows are staged and
+    /// the simulation is counted as relaxed or incremental. On rejection
+    /// the staged rows are rolled back and nothing is counted: the caller
+    /// runs the event loop, which counts the simulation once, and
+    /// `scratch.cols` holds the rejected relaxation, not the anchor.
+    fn relax_stall_free(
+        &self,
+        scratch: &mut SimScratch,
+        cfgs: &[ResourceConfig],
+        input: InputSpec,
+        transfer_ms: &[f64],
+        edit: Option<&[ResourceConfig]>,
+    ) -> Option<RelaxSummary> {
+        let base = scratch.rows.len();
+        let (summary, reused) = self.relax_cols(scratch, cfgs, input, transfer_ms, edit);
+        if !self.relaxation_exact(cfgs, &scratch.cols, &mut scratch.sweep) {
+            scratch.rows.truncate(base);
+            return None;
         }
+        // Counter semantics mirror a full event-loop run of the same
+        // simulated world: every function "starts" once, OOM verdicts
+        // included, plus the round-two accounting of which path served it.
+        let counters = &mut scratch.counters;
+        counters.sims += 1;
+        counters.node_starts += self.n as u64;
+        counters.oom_kills += scratch.cols.oom.count_ones();
+        if edit.is_some() {
+            counters.incremental_sims += 1;
+            counters.nodes_reused += reused;
+        } else {
+            counters.relaxed_sims += 1;
+        }
+        Some(summary)
+    }
+
+    /// The timeline rule: `true` when the relaxed timeline of `cfgs` in
+    /// `cols` is *provably* the event loop's timeline, bit for bit.
+    ///
+    /// Every function occupies its host over the closed tick interval
+    /// `[ms_to_ticks(start_ms), ms_to_ticks(end_ms)]`: the event loop
+    /// places it when its ready event pops and releases it when its finish
+    /// event pops, and on equal ticks either may pop first. If the peak
+    /// demand of the intervals that share a tick fits one host, then every
+    /// function's ready event finds host 0 with room, whatever the event
+    /// order, and first-fit starts it there at its ready tick — exactly the
+    /// relaxation (runtime jitter is off; the callers check that first).
+    /// The rule's first line is the O(n) sum over every function, which
+    /// bounds any peak, so small workflows never sort; otherwise it sweeps
+    /// the intervals in tick order, starts before ends on equal ticks. The
+    /// memory sums are exact (u32 demands in u64); the vCPU sums keep
+    /// [`NO_STALL_VCPU_MARGIN`] of headroom for f64 accumulation drift.
+    /// `sweep` is the scratch's reusable tick buffer, so the rule allocates
+    /// nothing once warm.
+    fn relaxation_exact(
+        &self,
+        cfgs: &[ResourceConfig],
+        cols: &Columns,
+        sweep: &mut Vec<u64>,
+    ) -> bool {
+        let host_vcpu = self.cluster.vcpus_per_host;
+        let host_memory_mb = u64::from(self.cluster.memory_mb_per_host);
+        let fits = |vcpu: f64, memory_mb: u64| {
+            vcpu + NO_STALL_VCPU_MARGIN <= host_vcpu && memory_mb <= host_memory_mb
+        };
         let mut vcpu = 0.0f64;
         let mut memory_mb = 0u64;
-        for cfg in configs {
+        for cfg in cfgs {
             vcpu += cfg.vcpu.get();
             memory_mb += u64::from(cfg.memory.get());
         }
-        vcpu + NO_STALL_VCPU_MARGIN <= self.cluster.vcpus_per_host
-            && memory_mb <= u64::from(self.cluster.memory_mb_per_host)
+        if fits(vcpu, memory_mb) {
+            return true;
+        }
+
+        // Sort keys pack `tick << bits | node`, so sorting the keys sorts
+        // the ticks and the node rides along. A tick too large to pack
+        // keeps the event loop.
+        let n = self.n;
+        let bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+        let max_tick = u64::MAX >> bits;
+        sweep.clear();
+        sweep.resize(2 * n, 0);
+        let (starts, ends) = sweep.split_at_mut(n);
+        for i in 0..n {
+            let start = ms_to_ticks(cols.start_ms[i]);
+            let end = ms_to_ticks(cols.end_ms[i]).max(start);
+            if end > max_tick {
+                return false;
+            }
+            starts[i] = start << bits | i as u64;
+            ends[i] = end << bits | i as u64;
+        }
+        starts.sort_unstable();
+        ends.sort_unstable();
+        let node = |key: u64| cfgs[(key & !(u64::MAX << bits)) as usize];
+        let (mut vcpu, mut memory_mb) = (0.0f64, 0u64);
+        let mut released = 0;
+        for &start in starts.iter() {
+            // Release every interval that ended strictly before this tick;
+            // one ending on it still overlaps (closed intervals).
+            while ends[released] >> bits < start >> bits {
+                let cfg = node(ends[released]);
+                vcpu -= cfg.vcpu.get();
+                memory_mb -= u64::from(cfg.memory.get());
+                released += 1;
+            }
+            let cfg = node(start);
+            vcpu += cfg.vcpu.get();
+            memory_mb += u64::from(cfg.memory.get());
+            if !fits(vcpu, memory_mb) {
+                return false;
+            }
+        }
+        true
     }
 
     /// Validates `configs` exactly as the event loop always has: count
@@ -967,17 +1097,18 @@ impl CompiledScenario {
     }
 
     /// The heap-free relaxation core, round-three form: one in-place pass
-    /// over the dense outcome columns. Preconditions (enforced by
-    /// callers): `validate(configs)` passed, `configs` — and the anchor's
-    /// configs, when editing — satisfy
-    /// [`CompiledScenario::relaxation_exact`], the anchor was produced
-    /// under the same `input`, and on the edit path `scratch.cols` holds
-    /// the anchor's outcome columns. Under those preconditions every
-    /// function starts the tick its last input arrives, so one pass in
-    /// topological order performs the same floating-point operations in
-    /// the same order as the event loop's `try_start`. The ready time is a
-    /// branch-light `f64` max-reduction over the predecessor CSR —
-    /// `ms_to_ticks` is monotone non-decreasing, so
+    /// over the dense outcome columns, computing the candidate's
+    /// topological relaxation — the timeline in which every function starts
+    /// the tick its last input arrives. Preconditions (enforced by
+    /// callers): runtime jitter is off, `validate(configs)` passed, the
+    /// anchor was produced under the same `input`, and on the edit path
+    /// `scratch.cols` holds the anchor's stall-free timeline. One pass in
+    /// topological order then performs the same floating-point operations
+    /// in the same order as the event loop's `try_start`, so whenever the
+    /// timeline rule (`relaxation_exact`) accepts the result it is the
+    /// event loop's, bit for bit. The ready time is a branch-light `f64`
+    /// max-reduction over the predecessor CSR — `ms_to_ticks` is monotone
+    /// non-decreasing, so
     /// `max(ms_to_ticks(pred.end + transfer)) =
     /// ms_to_ticks(max(pred.end + transfer))` and hoisting the conversion
     /// out of the loop is bit-exact; then `start = ticks_to_ms(ready)` and
@@ -987,8 +1118,9 @@ impl CompiledScenario {
     /// it as the next candidate's anchor without any copying), appends the
     /// candidate's `NodeSimOutcome` rows to `scratch.rows` in the same
     /// pass (a fused store next to the column stores, cheaper than a
-    /// separate SoA→AoS scatter), and returns the scalar reductions;
-    /// callers freeze the staged rows and mint the result.
+    /// separate SoA→AoS scatter), and returns the scalar reductions with
+    /// the count of anchor nodes reused; [`Self::relax_stall_free`] applies
+    /// the rule, counts the simulation and hands the staged rows on.
     fn relax_cols(
         &self,
         scratch: &mut SimScratch,
@@ -996,14 +1128,13 @@ impl CompiledScenario {
         input: InputSpec,
         transfer_ms: &[f64],
         edit: Option<&[ResourceConfig]>,
-    ) -> RelaxSummary {
+    ) -> (RelaxSummary, u64) {
         let n = self.n;
         let SimScratch {
             cols,
             changed,
             affected,
             frontier,
-            counters,
             rows,
             ..
         } = scratch;
@@ -1183,28 +1314,13 @@ impl CompiledScenario {
 
         // Same reduction order as the event loop (node order), now as flat
         // column sweeps.
-        let makespan_ms = cols.end_ms.iter().copied().fold(0.0, f64::max);
-        let total_cost = cols.cost.iter().sum();
-        let any_oom = cols.oom.any();
-
-        // Counter semantics mirror a full event-loop run of the same
-        // simulated world: every function "starts" once, OOM verdicts
-        // included, plus the round-two accounting of which path served it.
-        counters.sims += 1;
-        counters.node_starts += n as u64;
-        counters.oom_kills += cols.oom.count_ones();
-        if edit.is_some() {
-            counters.incremental_sims += 1;
-            counters.nodes_reused += reused;
-        } else {
-            counters.relaxed_sims += 1;
-        }
-
-        RelaxSummary {
-            makespan_ms,
-            total_cost,
-            any_oom,
-        }
+        let summary = RelaxSummary {
+            makespan_ms: cols.end_ms.iter().copied().fold(0.0, f64::max),
+            total_cost: cols.cost.iter().sum(),
+            any_oom: cols.oom.any(),
+            stall_free: true,
+        };
+        (summary, reused)
     }
 
     /// Runs one simulation recording the full event trace and materialises
@@ -1453,23 +1569,25 @@ impl CompiledScenario {
 
 /// Lockstep batch simulator: runs scheduler chunks of candidates against
 /// one [`CompiledScenario`] and one input, sharing the per-pred-edge
-/// transfer table across the whole batch and chaining each exact result as
-/// the incremental anchor for the next candidate of its chunk — so a run of
-/// suffix-edit probes re-simulates only the nodes downstream of each edit.
+/// transfer table across the whole batch and chaining each
+/// [`SimResult::stall_free`] result as the incremental anchor for the next
+/// candidate of its chunk — so a run of suffix-edit probes re-simulates
+/// only the nodes downstream of each edit.
 ///
 /// Every candidate flows through the cheapest applicable path —
 /// incremental relaxation off the previous result, full relaxation, or the
-/// reference event loop when exactness can't be proven — and every path is
-/// bit-identical, so a chunk's results equal a
-/// [`CompiledScenario::simulate`] stream result-for-result regardless of
-/// how a batch is chunked across workers.
+/// reference event loop when the timeline rule rejects the relaxed
+/// timeline — and every path is bit-identical, so a chunk's results equal
+/// a [`CompiledScenario::simulate_reference`] stream result-for-result
+/// regardless of how a batch is chunked across workers.
 #[derive(Debug)]
 pub struct BatchSim<'a> {
     scenario: &'a CompiledScenario,
     input: InputSpec,
     transfer_ms: Vec<f64>,
-    /// The previous exact candidate's configuration: the anchor the next
-    /// candidate of the chunk edits. Kept here so chunks reuse the buffer.
+    /// The previous stall-free candidate's configuration: the anchor the
+    /// next candidate of the chunk edits. Kept here so chunks reuse the
+    /// buffer.
     anchor_configs: Vec<ResourceConfig>,
 }
 
@@ -1487,16 +1605,21 @@ impl<'a> BatchSim<'a> {
         }
     }
 
-    /// Simulates one scheduler chunk of candidates, chaining each exact
-    /// result as the next candidate's incremental anchor *in place* (the
+    /// Simulates one scheduler chunk of candidates, chaining each
+    /// stall-free result as the next candidate's incremental anchor *in
+    /// place* (the
     /// outcome columns never leave `scratch`) and staging every outcome
     /// row into one arena that is frozen with a single
     /// `Arc<[NodeSimOutcome]>` allocation — the batch miss path performs
     /// one result-slab heap allocation per chunk, not per simulation.
     ///
-    /// Every chunk starts a fresh chain (its first exact candidate is a
-    /// full relaxation), so the result and counter streams depend only on
-    /// how the batch is chunked, never on which worker runs a chunk.
+    /// Every chunk starts a fresh chain (its first stall-free candidate is
+    /// a full relaxation), so the result and counter streams depend only on
+    /// how the batch is chunked, never on which worker runs a chunk. A
+    /// candidate the event loop serves breaks the chain, and the next
+    /// stall-free one starts a new one; an invalid candidate leaves the
+    /// chain as it was.
+    ///
     /// Per-candidate errors come back in the returned vector in job order,
     /// exactly as per-candidate [`CompiledScenario::simulate`] calls would
     /// produce them.
@@ -1511,46 +1634,47 @@ impl<'a> BatchSim<'a> {
         scratch.rows.clear();
         let mut staged: Vec<Result<(u32, u32, RelaxSummary, u64), SimulatorError>> =
             Vec::with_capacity(jobs.len());
-        // Whether `scratch.cols` holds the previous candidate's outcome
-        // (then `self.anchor_configs` names its configuration).
+        // Whether `scratch.cols` holds the previous candidate's stall-free
+        // timeline (then `self.anchor_configs` names its configuration).
         let mut chained = false;
+        let relaxable = self.scenario.relaxable();
         for &(configs, seed) in jobs {
-            if self.scenario.relaxation_exact(configs) {
+            let offset = scratch.rows.len() as u32;
+            let mut relaxed = None;
+            if relaxable {
                 if let Err(err) = self.scenario.validate(configs) {
                     // Anchor untouched: the next candidate still chains off
-                    // the last successful one.
+                    // the last stall-free one.
                     staged.push(Err(err));
                     continue;
                 }
-                let offset = scratch.rows.len() as u32;
-                let summary = {
-                    let edit = chained.then_some(self.anchor_configs.as_slice());
-                    self.scenario.relax_cols(
-                        scratch,
-                        configs.as_slice(),
-                        self.input,
-                        &self.transfer_ms,
-                        edit,
-                    )
-                };
+                let edit = chained.then_some(self.anchor_configs.as_slice());
+                relaxed = self.scenario.relax_stall_free(
+                    scratch,
+                    configs.as_slice(),
+                    self.input,
+                    &self.transfer_ms,
+                    edit,
+                );
+            }
+            // Event-loop fallback, staged into the same chunk arena.
+            let summary = match relaxed {
+                Some(summary) => summary,
+                None => match self.scenario.run(scratch, configs, self.input, seed, None) {
+                    Ok(()) => scratch.stage_records(),
+                    Err(err) => {
+                        staged.push(Err(err));
+                        continue;
+                    }
+                },
+            };
+            // Only a stall-free timeline anchors the next candidate.
+            chained = summary.stall_free;
+            if chained {
                 self.anchor_configs.clear();
                 self.anchor_configs.extend_from_slice(configs.as_slice());
-                chained = true;
-                staged.push(Ok((offset, self.scenario.n as u32, summary, seed)));
-            } else {
-                // Event-loop fallback: drop the chain (a successor could
-                // not reuse a potentially stall-contaminated timeline) but
-                // keep staging into the shared chunk arena.
-                chained = false;
-                match self.scenario.run(scratch, configs, self.input, seed, None) {
-                    Err(err) => staged.push(Err(err)),
-                    Ok(()) => {
-                        let offset = scratch.rows.len() as u32;
-                        let summary = scratch.stage_records();
-                        staged.push(Ok((offset, self.scenario.n as u32, summary, seed)));
-                    }
-                }
             }
+            staged.push(Ok((offset, self.scenario.n as u32, summary, seed)));
         }
         let slab = scratch.freeze_rows();
         staged
@@ -1563,6 +1687,7 @@ impl<'a> BatchSim<'a> {
                     makespan_ms: summary.makespan_ms,
                     total_cost: summary.total_cost,
                     any_oom: summary.any_oom,
+                    stall_free: summary.stall_free,
                     input: self.input,
                     seed,
                 })
@@ -1706,7 +1831,6 @@ mod tests {
     fn relaxation_matches_event_loop_bitwise() {
         let scenario = compiled(0.0);
         let configs = ConfigMap::uniform(3, ResourceConfig::new(2.0, 1_024));
-        assert!(scenario.relaxation_exact(&configs));
         let mut scratch = SimScratch::new();
         let fast = scenario
             .simulate(&mut scratch, &configs, InputSpec::new(2.0, 64.0), 9)
@@ -1715,6 +1839,7 @@ mod tests {
             .simulate_reference(&mut scratch, &configs, InputSpec::new(2.0, 64.0), 9)
             .unwrap();
         assert_eq!(fast, slow);
+        assert!(fast.stall_free() && !slow.stall_free());
         assert_eq!(scratch.counters().relaxed_sims, 1);
         assert_eq!(scratch.counters().sims, 2);
     }
@@ -1723,18 +1848,50 @@ mod tests {
     fn jitter_disables_the_relaxation_path() {
         let scenario = compiled(0.1);
         let configs = ConfigMap::uniform(3, ResourceConfig::new(2.0, 1_024));
-        assert!(!scenario.relaxation_exact(&configs));
+        let mut scratch = SimScratch::new();
+        let result = scenario
+            .simulate(&mut scratch, &configs, InputSpec::nominal(), 4)
+            .unwrap();
+        assert!(!result.stall_free());
+        assert_eq!(scratch.counters().relaxed_sims, 0);
+        assert_eq!(scratch.counters().sims, 1);
+    }
+
+    #[test]
+    fn a_cluster_of_zero_hosts_keeps_the_event_loop() {
+        let (wf, p, mut cluster) = scenario_parts(0.0);
+        cluster.hosts = 0;
+        let scenario = CompiledScenario::compile(&wf, &p, cluster, PricingModel::paper()).unwrap();
+        let configs = ConfigMap::uniform(3, ResourceConfig::new(1.0, 512));
+        let mut scratch = SimScratch::new();
+        let result = scenario
+            .simulate(&mut scratch, &configs, InputSpec::nominal(), 0)
+            .unwrap();
+        assert!(!result.stall_free());
+        assert_eq!(scratch.counters().relaxed_sims, 0);
+        let mut batch = BatchSim::new(&scenario, InputSpec::nominal());
+        let chunked = batch.simulate_chunk(&mut scratch, &[(&configs, 0), (&configs, 1)]);
+        assert!(chunked.iter().all(|r| !r.as_ref().unwrap().stall_free()));
+        let counters = scratch.counters();
+        assert_eq!(
+            (
+                counters.sims,
+                counters.relaxed_sims,
+                counters.incremental_sims
+            ),
+            (3, 0, 0)
+        );
     }
 
     #[test]
     fn stall_risk_disables_the_relaxation_path() {
         let (wf, p, mut cluster) = scenario_parts(0.0);
         // One entry then a 2-wide fan-out of 1-vCPU functions against a
-        // 1.5-vCPU host: the second fan-out function must queue.
+        // 1.5-vCPU host: the fan-out's relaxed intervals overlap on 2 vCPU,
+        // and the second fan-out function must queue.
         cluster.vcpus_per_host = 1.5;
         let scenario = CompiledScenario::compile(&wf, &p, cluster, PricingModel::paper()).unwrap();
         let configs = ConfigMap::uniform(3, ResourceConfig::new(1.0, 512));
-        assert!(!scenario.relaxation_exact(&configs));
         let mut scratch = SimScratch::new();
         let routed = scenario
             .simulate(&mut scratch, &configs, InputSpec::nominal(), 0)
@@ -1743,11 +1900,135 @@ mod tests {
             .simulate_reference(&mut scratch, &configs, InputSpec::nominal(), 0)
             .unwrap();
         assert_eq!(routed, reference);
+        assert!(!routed.stall_free());
         assert!(
             scratch.counters().capacity_stalls > 0,
             "the tightened cluster actually queues"
         );
-        assert_eq!(scratch.counters().relaxed_sims, 0);
+        // The rejected relaxation counts once, as the event loop.
+        let counters = scratch.counters();
+        assert_eq!(
+            (
+                counters.sims,
+                counters.relaxed_sims,
+                counters.incremental_sims
+            ),
+            (2, 0, 0)
+        );
+        assert_eq!(counters.node_starts, 6);
+    }
+
+    #[test]
+    fn a_peak_that_fits_one_host_relaxes_although_the_sum_does_not() {
+        // 3 × 40 vCPU exceeds the 96-vCPU host, but the entry never runs
+        // beside the 2-wide fan-out, so at most 80 vCPU run at once.
+        let scenario = compiled(0.0);
+        let configs = ConfigMap::uniform(3, ResourceConfig::new(40.0, 4_096));
+        let mut scratch = SimScratch::new();
+        let relaxed = scenario
+            .simulate(&mut scratch, &configs, InputSpec::nominal(), 0)
+            .unwrap();
+        let reference = scenario
+            .simulate_reference(&mut SimScratch::new(), &configs, InputSpec::nominal(), 0)
+            .unwrap();
+        assert_eq!(relaxed, reference);
+        assert!(relaxed.stall_free());
+        assert_eq!(scratch.counters().relaxed_sims, 1);
+    }
+
+    #[test]
+    fn intervals_that_touch_on_one_tick_overlap() {
+        // Two chained 3-vCPU functions on a 4-vCPU host, no transfer: the
+        // first ends on the tick the second starts. The closed intervals
+        // share that tick, so the rule keeps the event loop (which here
+        // releases the first before placing the second).
+        let mut b = WorkflowBuilder::new("touch");
+        let first = b.add_function("first");
+        let second = b.add_function("second");
+        b.add_edge_with(first, second, 0.0, CommunicationKind::Direct)
+            .unwrap();
+        let wf = b.build().unwrap();
+        let mut p = ProfileSet::new();
+        p.insert(
+            first,
+            FunctionProfile::builder("first").serial_ms(1_000.0).build(),
+        );
+        p.insert(
+            second,
+            FunctionProfile::builder("second").serial_ms(500.0).build(),
+        );
+        let cluster = ClusterSpec {
+            vcpus_per_host: 4.0,
+            ..ClusterSpec::paper_testbed()
+        };
+        let scenario = CompiledScenario::compile(&wf, &p, cluster, PricingModel::paper()).unwrap();
+        let configs = ConfigMap::uniform(2, ResourceConfig::new(3.0, 512));
+        let mut scratch = SimScratch::new();
+        let routed = scenario
+            .simulate(&mut scratch, &configs, InputSpec::nominal(), 0)
+            .unwrap();
+        let [a, b] = routed.executions() else {
+            panic!("two functions ran");
+        };
+        assert_eq!(ms_to_ticks(a.end_ms), ms_to_ticks(b.start_ms));
+        assert!(!routed.stall_free());
+        let counters = scratch.counters();
+        assert_eq!((counters.sims, counters.relaxed_sims), (1, 0));
+        assert_eq!(counters.capacity_stalls, 0);
+        let reference = scenario
+            .simulate_reference(&mut scratch, &configs, InputSpec::nominal(), 0)
+            .unwrap();
+        assert_eq!(routed, reference);
+    }
+
+    #[test]
+    fn a_stalling_candidate_is_refused_incrementally_and_counted_once() {
+        let scenario = compiled(0.0);
+        let mut scratch = SimScratch::new();
+        let base = ConfigMap::uniform(3, ResourceConfig::new(2.0, 1_024));
+        let anchor = scenario
+            .simulate(&mut scratch, &base, InputSpec::nominal(), 0)
+            .unwrap();
+        assert!(anchor.stall_free());
+        // The fan-out's two 50-vCPU functions overlap on 100 vCPU.
+        let mut wide = base.clone();
+        wide.set(NodeId::new(1), ResourceConfig::new(50.0, 1_024));
+        wide.set(NodeId::new(2), ResourceConfig::new(50.0, 1_024));
+        let before = scratch.counters();
+        let refused =
+            scenario.try_incremental(&mut scratch, &wide, InputSpec::nominal(), 0, &base, &anchor);
+        assert!(refused.is_none());
+        assert_eq!(
+            scratch.counters(),
+            before,
+            "a refused relaxation counts nothing"
+        );
+        let routed = scenario
+            .simulate(&mut scratch, &wide, InputSpec::nominal(), 0)
+            .unwrap();
+        let counters = scratch.counters();
+        assert_eq!(counters.sims, before.sims + 1);
+        assert_eq!(counters.relaxed_sims, before.relaxed_sims);
+        assert!(counters.capacity_stalls > 0);
+        assert_eq!(
+            routed,
+            scenario
+                .simulate_reference(&mut SimScratch::new(), &wide, InputSpec::nominal(), 0)
+                .unwrap()
+        );
+        // An event-loop result never anchors.
+        let mut edited = wide.clone();
+        edited.set(NodeId::new(0), ResourceConfig::new(1.0, 1_024));
+        assert!(scenario
+            .try_incremental(
+                &mut scratch,
+                &edited,
+                InputSpec::nominal(),
+                0,
+                &wide,
+                &routed
+            )
+            .is_none());
     }
 
     #[test]
@@ -1807,8 +2088,9 @@ mod tests {
         let candidates = [
             ConfigMap::uniform(3, ResourceConfig::new(1.0, 512)),
             ConfigMap::uniform(3, ResourceConfig::new(1.0, 128)),
-            // Sum 120 vCPU > 96: stall risk, falls back to the event loop.
-            ConfigMap::uniform(3, ResourceConfig::new(40.0, 4_096)),
+            // The 2-wide fan-out runs 100 vCPU at once on a 96-vCPU host:
+            // it stalls, so the event loop serves it.
+            ConfigMap::uniform(3, ResourceConfig::new(50.0, 4_096)),
             ConfigMap::uniform(3, ResourceConfig::new(2.0, 1_024)),
         ];
         let jobs: Vec<(&ConfigMap, u64)> = candidates
@@ -1822,7 +2104,7 @@ mod tests {
         let chunked = batch.simulate_chunk(&mut scratch, &jobs);
         for (k, configs) in candidates.iter().enumerate() {
             let solo = scenario
-                .simulate(
+                .simulate_reference(
                     &mut SimScratch::new(),
                     configs,
                     InputSpec::nominal(),
@@ -1836,6 +2118,7 @@ mod tests {
         // full relaxation, one incremental edit off it, the event loop
         // (which breaks the chain) and a fresh full relaxation.
         let counters = scratch.take_counters();
+        assert!(counters.capacity_stalls > 0);
         assert_eq!(counters.result_slab_allocs, 1, "one slab per chunk");
         let row = std::mem::size_of::<NodeSimOutcome>() as u64;
         assert_eq!(counters.result_slab_bytes, 4 * 3 * row);
@@ -2013,8 +2296,9 @@ mod tests {
                 node: NodeId::new(0)
             }
         );
-        // The candidate after the failure still simulates correctly (the
-        // failed candidate took the event loop, so the chain restarts).
+        // The candidate after the failure still simulates correctly: it
+        // chains off the last valid candidate, which the failure left as
+        // the anchor.
         let solo = scenario
             .simulate(&mut SimScratch::new(), &good, InputSpec::nominal(), 2)
             .unwrap();

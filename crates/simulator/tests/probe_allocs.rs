@@ -13,8 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use aarc_simulator::{
-    ConfigMap, EvalOptions, EvalService, FunctionProfile, ProfileSet, ResourceConfig,
-    WorkflowEnvironment,
+    ConfigMap, EvalOptions, EvalService, FunctionProfile, KernelCounters, ProfileSet,
+    ResourceConfig, WorkflowEnvironment,
 };
 use aarc_workflow::WorkflowBuilder;
 
@@ -93,17 +93,55 @@ fn env() -> WorkflowEnvironment {
     WorkflowEnvironment::builder(wf, profiles).build().unwrap()
 }
 
-/// `len` distinct candidates, each re-tuning one function of its
-/// predecessor: the suffix edits a stagewise search probes.
-fn chain(len: usize) -> Vec<ConfigMap> {
-    let mut configs = vec![ResourceConfig::new(2.0, 1_024); 6];
+/// A jitter-free thirteen-function DAG on the paper's 96-vCPU host: an
+/// entry fanning out to six branches that join, then fan out to four more
+/// that join. At 10 vCPU each, the ten functions [`chain`] never edits
+/// already sum to 100 vCPU, more than the host, but at most six run at
+/// once, so the kernel proves a probe stall-free only by sweeping its
+/// relaxed timeline.
+fn wide_env() -> WorkflowEnvironment {
+    let mut b = WorkflowBuilder::new("probe-allocs-wide");
+    let nodes: Vec<_> = (0..13).map(|i| b.add_function(format!("f{i}"))).collect();
+    for branch in 1..7 {
+        b.add_edge(nodes[0], nodes[branch]).unwrap();
+        b.add_edge(nodes[branch], nodes[7]).unwrap();
+    }
+    for branch in 8..12 {
+        b.add_edge(nodes[7], nodes[branch]).unwrap();
+        b.add_edge(nodes[branch], nodes[12]).unwrap();
+    }
+    let wf = b.build().unwrap();
+    let mut profiles = ProfileSet::new();
+    for (i, &node) in nodes.iter().enumerate() {
+        profiles.insert(
+            node,
+            FunctionProfile::builder(format!("f{i}"))
+                .serial_ms(200.0 + 50.0 * i as f64)
+                .parallel_ms(800.0)
+                .max_parallelism(4.0)
+                .working_set_mb(256.0)
+                .build(),
+        );
+    }
+    WorkflowEnvironment::builder(wf, profiles).build().unwrap()
+}
+
+/// `len` distinct candidates over `n` functions starting at `base`, each
+/// re-tuning one function of its predecessor: the suffix edits a stagewise
+/// search probes.
+fn chain(n: usize, base: ResourceConfig, len: usize) -> Vec<ConfigMap> {
+    let mut configs = vec![base; n];
     (0..len)
         .map(|k| {
-            configs[5 - k % 3] =
+            configs[n - 1 - k % 3] =
                 ResourceConfig::new(0.5 + 0.5 * (k % 9) as f64, 512 + 64 * k as u32);
             ConfigMap::from_vec(configs.clone())
         })
         .collect()
+}
+
+fn six_chain(len: usize) -> Vec<ConfigMap> {
+    chain(6, ResourceConfig::new(2.0, 1_024), len)
 }
 
 fn single_thread(cache_capacity: usize) -> EvalService {
@@ -117,7 +155,7 @@ fn single_thread(cache_capacity: usize) -> EvalService {
 fn a_cache_hit_probe_allocates_nothing() {
     let service = single_thread(8_192);
     let handle = service.register(env());
-    let candidates = chain(32);
+    let candidates = six_chain(32);
     for configs in &candidates {
         handle.evaluate(configs).unwrap();
     }
@@ -130,13 +168,16 @@ fn a_cache_hit_probe_allocates_nothing() {
     assert_eq!(allocs, 0, "cache-hit probes allocated");
 }
 
-#[test]
-fn a_distinct_probe_miss_allocates_at_most_its_key_and_its_slab() {
+/// Counts the allocations of 200 distinct probe misses on `env`, after
+/// 200 warm-up misses, and returns the service's kernel counters.
+fn assert_probe_misses_allocate_at_most_two(
+    env: WorkflowEnvironment,
+    candidates: &[ConfigMap],
+) -> KernelCounters {
     // Four entries per shard: the shards fill while warming up, so every
     // counted miss evicts an entry and no shard grows any more.
     let service = single_thread(64);
-    let handle = service.register(env());
-    let candidates = chain(400);
+    let handle = service.register(env);
     let (warm, misses) = candidates.split_at(200);
     for configs in warm {
         handle.evaluate(configs).unwrap();
@@ -155,13 +196,32 @@ fn a_distinct_probe_miss_allocates_at_most_its_key_and_its_slab() {
         misses.len(),
         allocs as f64 / misses.len() as f64
     );
+    service.kernel_counters()
+}
+
+#[test]
+fn a_distinct_probe_miss_allocates_at_most_its_key_and_its_slab() {
+    assert_probe_misses_allocate_at_most_two(env(), &six_chain(400));
+}
+
+#[test]
+fn a_probe_miss_proven_by_the_interval_sweep_allocates_at_most_two() {
+    let candidates = chain(13, ResourceConfig::new(10.0, 1_024), 400);
+    let vcpu = |c: &ConfigMap| -> f64 { c.as_slice().iter().map(|r| r.vcpu.get()).sum() };
+    assert!(candidates.iter().all(|c| vcpu(c) > 96.0));
+    let counters = assert_probe_misses_allocate_at_most_two(wide_env(), &candidates);
+    // Every probe after the first re-simulated incrementally: the sweep
+    // ran on each, and none took the event loop.
+    assert_eq!(counters.sims, 400);
+    assert_eq!(counters.incremental_sims, 399);
+    assert_eq!(counters.relaxed_sims, 1);
 }
 
 #[test]
 fn a_cache_off_batch_allocates_per_batch_not_per_candidate() {
     let service = single_thread(0);
     let handle = service.register(env());
-    let mut candidates = chain(64);
+    let mut candidates = six_chain(64);
     candidates.extend_from_within(..6);
     // Warm the scratch arena and its slab pool.
     handle.evaluate_batch(&candidates).unwrap();

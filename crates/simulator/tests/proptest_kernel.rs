@@ -6,10 +6,12 @@
 //! driven [`CompiledScenario`] with a reused [`SimScratch`], or through the
 //! one-off [`WorkflowEnvironment::execute_with`] path.
 
-use aarc_simulator::kernel::{BatchSim, CompiledScenario, SimScratch};
+use std::cell::Cell;
+
+use aarc_simulator::kernel::{BatchSim, CompiledScenario, SimResult, SimScratch};
 use aarc_simulator::{
-    ClusterSpec, ConfigMap, EvalOptions, EvalService, FunctionProfile, InputSpec, PricingModel,
-    ProfileSet, ResourceConfig, ResourceSpace, WorkflowEnvironment,
+    ClusterSpec, ColdStartModel, ConfigMap, EvalOptions, EvalService, FunctionProfile, InputSpec,
+    PricingModel, ProfileSet, ResourceConfig, ResourceSpace, WorkflowEnvironment,
 };
 use aarc_workflow::{CommunicationKind, NodeId, WorkflowBuilder};
 use proptest::prelude::*;
@@ -325,6 +327,239 @@ proptest! {
         prop_assert_eq!(a, b);
         prop_assert_eq!(handle.stats().cache_hits, 0);
     }
+}
+
+/// A jitter-free scenario on a tight cluster plus an edit chain of
+/// candidates, each re-tuning a few functions of the one before.
+#[derive(Debug, Clone)]
+struct TightCase {
+    scenario: CompiledScenario,
+    chain: Vec<ConfigMap>,
+}
+
+/// `(runtime in 500 ms steps, profile flavour)`; flavour 0 has a 512 MB
+/// memory floor, so small memory configurations are OOM-killed.
+type TightFunction = (u32, u8);
+/// `(hosts, vCPUs per host, memory choice, cold starts on)`.
+type TightCluster = (usize, u32, usize, u8);
+
+/// The vCPU and memory a raw draw picks on a `host_vcpu`-vCPU host: at
+/// least one vCPU (so runtimes stay on their 500 ms grid), on the 0.1-vCPU
+/// grid, at most the whole host, a half, a third or a quarter of it; and
+/// 256–4096 MB in 64 MB steps.
+fn tight_config(host_vcpu: u32, vcpu_draw: u32, memory_draw: u32) -> ResourceConfig {
+    let max_tenths = 10 * (host_vcpu - 1) / (1 + vcpu_draw % 4);
+    let tenths = (vcpu_draw / 4) % (max_tenths + 1);
+    ResourceConfig::new(
+        1.0 + f64::from(tenths) / 10.0,
+        256 + 64 * (memory_draw % 61),
+    )
+}
+
+fn arb_tight_case() -> impl Strategy<Value = TightCase> {
+    (2usize..15).prop_flat_map(|n| {
+        (
+            proptest::collection::vec((1u32..7, 0u8..4), n..n + 1),
+            0u64..u64::MAX, // wiring seed
+            (1usize..4, 4u32..41, 0usize..4, 0u8..2),
+            proptest::collection::vec((0u32..10_000, 0u32..10_000), n..n + 1),
+            proptest::collection::vec((0usize..14, 0u32..10_000, 0u32..10_000), 1..8),
+        )
+            .prop_map(move |(functions, wiring_seed, cluster, anchor, edits)| {
+                tight_case(n, &functions, wiring_seed, cluster, &anchor, &edits)
+            })
+    })
+}
+
+fn tight_case(
+    n: usize,
+    functions: &[TightFunction],
+    wiring_seed: u64,
+    (hosts, host_vcpu, memory_choice, cold): TightCluster,
+    anchor: &[(u32, u32)],
+    edits: &[(usize, u32, u32)],
+) -> TightCase {
+    let mut b = WorkflowBuilder::new("prop-tight");
+    let ids: Vec<NodeId> = (0..n).map(|i| b.add_function(format!("f{i}"))).collect();
+    // Same xorshift wiring as `arb_case`, with payloads of 0 or 500 MB (a
+    // 500 ms transfer) so that ready ticks stay on the runtime grid.
+    let mut state = wiring_seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for to in 1..n {
+        let from = (next() as usize) % to;
+        let payload = if next() % 3 == 0 { 500.0 } else { 0.0 };
+        b.add_edge_with(ids[from], ids[to], payload, CommunicationKind::Direct)
+            .unwrap();
+        if to >= 2 && next() % 3 == 0 {
+            let extra = (next() as usize) % to;
+            if extra != from {
+                b.add_edge_with(ids[extra], ids[to], 0.0, CommunicationKind::Broadcast)
+                    .unwrap();
+            }
+        }
+    }
+    let wf = b.build().unwrap();
+    let mut profiles = ProfileSet::new();
+    for (i, (&id, &(steps, flavour))) in ids.iter().zip(functions).enumerate() {
+        let profile = FunctionProfile::builder(format!("f{i}")).serial_ms(500.0 * f64::from(steps));
+        let profile = if flavour == 0 {
+            profile.working_set_mb(512.0).mem_floor_mb(512.0)
+        } else {
+            profile
+        };
+        profiles.insert(id, profile.build());
+    }
+    let cluster = ClusterSpec {
+        hosts,
+        vcpus_per_host: f64::from(host_vcpu),
+        memory_mb_per_host: [4_096, 8_192, 16_384, 512 * 1024][memory_choice],
+        cold_start: if cold == 1 {
+            ColdStartModel::typical()
+        } else {
+            ColdStartModel::disabled()
+        },
+        ..ClusterSpec::paper_testbed()
+    };
+    let scenario =
+        CompiledScenario::compile(&wf, &profiles, cluster, PricingModel::paper()).unwrap();
+    let mut configs: Vec<ResourceConfig> = anchor
+        .iter()
+        .map(|&(v, m)| tight_config(host_vcpu, v, m))
+        .collect();
+    let mut chain = vec![ConfigMap::from_vec(configs.clone())];
+    for &(node, v, m) in edits {
+        configs[node % n] = tight_config(host_vcpu, v, m);
+        chain.push(ConfigMap::from_vec(configs.clone()));
+    }
+    TightCase { scenario, chain }
+}
+
+/// Every observable of a result as raw bits, for bit-for-bit comparison.
+fn bits(result: &SimResult) -> Vec<u64> {
+    let mut bits = vec![
+        result.makespan_ms().to_bits(),
+        result.total_cost().to_bits(),
+        u64::from(result.any_oom()),
+    ];
+    for e in result.executions() {
+        bits.extend([
+            e.start_ms.to_bits(),
+            e.end_ms.to_bits(),
+            e.runtime_ms.to_bits(),
+            e.cost.to_bits(),
+            u64::from(e.oom),
+        ]);
+    }
+    bits
+}
+
+/// Candidates per side of the timeline rule, over one run of
+/// [`every_path_equals_the_event_loop_on_tight_clusters`].
+#[derive(Debug, Default, Clone, Copy)]
+struct Sides {
+    /// Relaxed although the demand sum exceeds the host: the sweep's proof.
+    relaxed_by_sweep: u64,
+    /// Relaxed because the demand sum fits the host.
+    relaxed_by_sum: u64,
+    /// Served by the event loop.
+    event_loop: u64,
+    /// Served by the event loop, which did stall on capacity.
+    stalled: u64,
+}
+
+thread_local! {
+    static SIDES: Cell<Sides> = Cell::new(Sides::default());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// On clusters tight enough that candidates stall, `simulate`,
+    /// `try_incremental` off a stall-free anchor and one `simulate_chunk`
+    /// over the edit chain all equal the event loop bit for bit, and a
+    /// candidate is relaxed exactly when its relaxed timeline passes the
+    /// rule. Runtimes sit on a 500 ms grid, so one function often ends on
+    /// the tick another starts.
+    fn every_path_equals_the_event_loop_on_tight_clusters(case in arb_tight_case()) {
+        let TightCase { scenario, chain } = case;
+        let host = scenario.cluster();
+        let input = InputSpec::nominal();
+        let mut scratch = SimScratch::new();
+        let mut sides = SIDES.get();
+        let mut references = Vec::with_capacity(chain.len());
+        let mut solos = Vec::with_capacity(chain.len());
+        for configs in &chain {
+            let mut reference_scratch = SimScratch::new();
+            let reference = scenario
+                .simulate_reference(&mut reference_scratch, configs, input, 0)
+                .unwrap();
+            let solo = scenario.simulate(&mut scratch, configs, input, 0).unwrap();
+            prop_assert_eq!(bits(&solo), bits(&reference));
+            let (vcpu, memory_mb) = configs.as_slice().iter().fold((0.0, 0u64), |(v, m), c| {
+                (v + c.vcpu.get(), m + u64::from(c.memory.get()))
+            });
+            let sum_fits = vcpu + 1e-6 <= host.vcpus_per_host
+                && memory_mb <= u64::from(host.memory_mb_per_host);
+            if !solo.stall_free() {
+                sides.event_loop += 1;
+                prop_assert!(!sum_fits, "the demand sum alone proves this candidate");
+            } else if sum_fits {
+                sides.relaxed_by_sum += 1;
+            } else {
+                sides.relaxed_by_sweep += 1;
+            }
+            if reference_scratch.counters().capacity_stalls > 0 {
+                sides.stalled += 1;
+                prop_assert!(!solo.stall_free(), "a stalling candidate was relaxed");
+            }
+            references.push(reference);
+            solos.push(solo);
+        }
+        SIDES.set(sides);
+
+        for k in 1..chain.len() {
+            if !solos[k - 1].stall_free() {
+                continue;
+            }
+            let inc = scenario.try_incremental(
+                &mut scratch,
+                &chain[k],
+                input,
+                0,
+                &chain[k - 1],
+                &solos[k - 1],
+            );
+            prop_assert_eq!(inc.is_some(), solos[k].stall_free());
+            if let Some(inc) = inc {
+                prop_assert_eq!(bits(&inc), bits(&references[k]));
+            }
+        }
+
+        let jobs: Vec<(&ConfigMap, u64)> = chain.iter().map(|c| (c, 0)).collect();
+        let chunked = BatchSim::new(&scenario, input).simulate_chunk(&mut scratch, &jobs);
+        for (chained, reference) in chunked.iter().zip(&references) {
+            prop_assert_eq!(bits(chained.as_ref().unwrap()), bits(reference));
+        }
+    }
+}
+
+#[test]
+fn tight_clusters_match_the_event_loop_on_both_sides_of_the_rule() {
+    SIDES.set(Sides::default());
+    every_path_equals_the_event_loop_on_tight_clusters();
+    let sides = SIDES.get();
+    assert!(
+        sides.relaxed_by_sweep > 0
+            && sides.relaxed_by_sum > 0
+            && sides.event_loop > 0
+            && sides.stalled > 0,
+        "the cases miss a side of the rule: {sides:?}"
+    );
 }
 
 #[test]
