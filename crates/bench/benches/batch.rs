@@ -19,15 +19,15 @@
 //!   single-thread service with the cache on, so each probe pays the key
 //!   hash, cache lookup and insertion and the probe-anchor hand-off a
 //!   search's probe pays (registration is included, under 1% of a pass);
-//! * `probe_kernel` — the bare [`CompiledScenario`] calls that path makes:
-//!   an incremental re-simulation off the last stall-free probe, else a
-//!   full one.
+//! * `probe_kernel` — the bare [`CompiledScenario`] call that path makes:
+//!   `simulate_anchored` off the last stall-free probe, which re-simulates
+//!   incrementally where it can.
 //!
 //! `probe_service / probe_kernel` is the service's overhead per probe. Both
 //! probe shapes also run on `wide-40`, a generated 40-function workflow
 //! whose summed base demand exceeds its host, so each probe's relaxed
-//! timeline must pass the kernel's interval sweep to stay off the event
-//! loop.
+//! timeline must pass the kernel's bucketed bound or its interval sweep to
+//! stay off the event loop.
 //!
 //! [`ScenarioHandle::evaluate`]: aarc_simulator::ScenarioHandle::evaluate
 
@@ -100,23 +100,15 @@ fn bench_probes(
             b.iter(|| {
                 let mut anchor: Option<(&ConfigMap, SimResult)> = None;
                 for configs in chain.iter() {
-                    let result = anchor
-                        .as_ref()
-                        .and_then(|(anchor_cfgs, anchor_result)| {
-                            scenario.try_incremental(
-                                &mut scratch,
-                                configs,
-                                input,
-                                seed,
-                                anchor_cfgs,
-                                anchor_result,
-                            )
-                        })
-                        .unwrap_or_else(|| {
-                            scenario
-                                .simulate(&mut scratch, configs, input, seed)
-                                .expect("probe simulates")
-                        });
+                    let result = scenario
+                        .simulate_anchored(
+                            &mut scratch,
+                            configs,
+                            input,
+                            seed,
+                            anchor.as_ref().map(|(cfgs, result)| (*cfgs, result)),
+                        )
+                        .expect("probe simulates");
                     let result = std::hint::black_box(result);
                     // The service re-anchors only on a stall-free probe.
                     if result.stall_free() {

@@ -887,32 +887,25 @@ impl EvalService {
         }
         data.counters.misses.fetch_add(1, Ordering::Relaxed);
         let mut scratch = self.take_scratch();
-        // Probe fast path: re-simulate incrementally off this
-        // registration's previous stall-free probe when the kernel can
-        // prove bit-identity, and simulate from scratch otherwise. Reuse is
-        // exact either way, so a stale or raced anchor can never change a
-        // result — only how much work it saves. The anchor is taken out
-        // for the simulation and put back after it; a result the kernel
-        // minted as `stall_free` replaces it, and no other can.
+        // Probe fast path: the kernel re-simulates incrementally off this
+        // registration's previous stall-free probe when it can prove
+        // bit-identity, and from scratch otherwise. Reuse is exact either
+        // way, so a stale or raced anchor can never change a result — only
+        // how much work it saves. The anchor is taken out for the
+        // simulation and put back after it; a result the kernel minted as
+        // `stall_free` replaces it, and no other can.
         let mut anchor = data
             .probe_anchor
             .lock()
             .expect("probe anchor poisoned")
             .take();
-        let incremental = anchor.as_ref().and_then(|(anchor_cfgs, anchor_result)| {
-            data.scenario.try_incremental(
-                &mut scratch,
-                configs,
-                input,
-                seed,
-                anchor_cfgs,
-                anchor_result,
-            )
-        });
-        let result = match incremental {
-            Some(result) => Ok(result),
-            None => data.scenario.simulate(&mut scratch, configs, input, seed),
-        };
+        let result = data.scenario.simulate_anchored(
+            &mut scratch,
+            configs,
+            input,
+            seed,
+            anchor.as_ref().map(|(cfgs, result)| (cfgs, result)),
+        );
         self.put_scratch(scratch);
         if let Ok(result) = &result {
             if result.stall_free() {

@@ -9,9 +9,27 @@ use aarc_workflow::NodeId;
 pub type SimTime = u64;
 
 /// Converts milliseconds (as used throughout the performance model) to
-/// microsecond simulation ticks.
+/// microsecond simulation ticks: `(ms.max(0.0) * 1000.0).round() as u64`,
+/// bit for bit, without the libm `round` call.
+///
+/// Negative inputs and NaN map to 0 (`max` returns its non-NaN operand).
+/// For `0 ≤ x < 2^52` the truncation `t = x as i64` is exact, and so is
+/// the fraction `x - t as f64` (for `t ≥ 1`, `t ≤ x < 2t` and Sterbenz's
+/// lemma applies; for `t = 0` it is `x` itself), so adding one when the
+/// fraction is at least ½ rounds half away from zero, as `round` does.
+/// Every `f64` from `2^52` up is already an integer, and those values and
+/// infinity keep `round` and the saturating conversion. The signed
+/// conversions are single instructions on baseline x86-64, where the
+/// unsigned ones are not.
 pub fn ms_to_ticks(ms: f64) -> SimTime {
-    (ms.max(0.0) * 1_000.0).round() as SimTime
+    const EXACT_BELOW: f64 = (1u64 << 52) as f64;
+    let x = ms.max(0.0) * 1_000.0;
+    if x < EXACT_BELOW {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as SimTime
+    } else {
+        x.round() as SimTime
+    }
 }
 
 /// Converts microsecond ticks back to milliseconds.
@@ -131,6 +149,65 @@ mod tests {
         assert_eq!(ms_to_ticks(1.5), 1500);
         assert_eq!(ticks_to_ms(1500), 1.5);
         assert_eq!(ms_to_ticks(-3.0), 0);
+    }
+
+    /// The conversion `ms_to_ticks` must reproduce bit for bit.
+    fn libm_ticks(ms: f64) -> SimTime {
+        (ms.max(0.0) * 1_000.0).round() as SimTime
+    }
+
+    #[test]
+    fn ms_to_ticks_matches_libm_round_on_edge_cases() {
+        let two_52 = (1u64 << 52) as f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.0005,
+            0.0004999999999999999,
+            1.5,
+            2.5,
+            1e-3 * 0.5,
+            two_52 / 1_000.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        // 2^52 ± ½ and the values around it, in the tick domain.
+        for x in [two_52 - 0.5, two_52, two_52 + 1.0, two_52 - 1.0] {
+            for k in -2i64..=2 {
+                cases.push(f64::from_bits((x.to_bits() as i64 + k) as u64) / 1_000.0);
+            }
+        }
+        for ms in cases {
+            assert_eq!(ms_to_ticks(ms), libm_ticks(ms), "ms = {ms:e}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn ms_to_ticks_matches_libm_round(
+            bits in 0u64..u64::MAX,
+            tick in 0u64..(1u64 << 50),
+            step in 0u64..5,
+        ) {
+            // Any bit pattern (NaN, infinities, subnormals, negatives).
+            let raw = f64::from_bits(bits);
+            proptest::prop_assert_eq!(ms_to_ticks(raw), libm_ticks(raw), "bits {:#x}", bits);
+            // A realistic tick plus one half, and its neighbouring `f64`s.
+            let half = (tick as f64 + 0.5) / 1_000.0;
+            let near = f64::from_bits(half.to_bits() + step - 2);
+            for ms in [half, near, tick as f64 / 1_000.0] {
+                proptest::prop_assert_eq!(ms_to_ticks(ms), libm_ticks(ms), "ms {:e}", ms);
+            }
+        }
     }
 
     #[test]

@@ -47,11 +47,16 @@
 //! that relaxation first and keeps it only when the timeline rule
 //! (`CompiledScenario::relaxation_exact`) proves it from the relaxed
 //! timeline itself: the peak demand of the functions running at any one
-//! tick fits one host. Otherwise the path runs the reference event loop
-//! ([`CompiledScenario::simulate_reference`]). Both perform the same
-//! floating-point operations in the same order, so results stay
+//! tick fits one host. The rule has three lines, each a tighter bound than
+//! the one before: the O(n) demand sum, an O(n + B) bound over B buckets of
+//! ticks, and an exact sweep of the sorted intervals, which only the
+//! candidates the first two lines leave pay for
+//! ([`KernelCounters::sorted_sweeps`]). Otherwise the path runs the
+//! reference event loop ([`CompiledScenario::simulate_reference`]) at
+//! once, so a rejected candidate is relaxed and checked once. Both perform
+//! the same floating-point operations in the same order, so results stay
 //! bit-identical. On top of that sit incremental re-simulation
-//! ([`CompiledScenario::try_incremental`]: reuse a stall-free anchor's
+//! ([`CompiledScenario::simulate_anchored`]: reuse a stall-free anchor's
 //! timeline for every node not downstream of a config change — the
 //! searchers' `PathConfigState` probes touch one path suffix at a time) and
 //! [`BatchSim::simulate_chunk`], the one chained path: it runs one
@@ -111,15 +116,32 @@ use crate::resources::ResourceConfig;
 use crate::trace::{ExecutionTrace, TraceEvent};
 
 /// Headroom (in vCPUs) the no-stall proof leaves below a host's capacity.
-/// First-fit placement accumulates `free_vcpu -= / +=` in f64, and so does
-/// the proof's own sweep; the drift of either over a workflow is bounded by
-/// a few ULPs per operation (~1e-13 at the paper testbed's 96-vCPU
-/// magnitude). 1e-6 dominates that by orders of magnitude while staying far
-/// below the 0.1-vCPU configuration grid, so the check never admits a
-/// candidate the event loop could stall on and never rejects a
-/// realistically-sized one. Memory needs no margin: u32 demands summed in
-/// u64 compare exactly.
+/// First-fit placement accumulates `free_vcpu -= / +=` in f64, and so do
+/// the proof's own lines: the demand sum, the bucket line's prefix sum over
+/// at most `2n + SWEEP_BUCKETS` signed terms, and the sorted sweep. The
+/// drift of any of them over a workflow is bounded by a few ULPs per
+/// operation (~1e-12 at the paper testbed's 96-vCPU magnitude). 1e-6
+/// dominates that by orders of magnitude while staying far below the
+/// 0.1-vCPU configuration grid, so the check never admits a candidate the
+/// event loop could stall on and never rejects a realistically-sized one.
+/// Memory needs no margin: u32 demands summed in u64 compare exactly.
 const NO_STALL_VCPU_MARGIN: f64 = 1e-6;
+
+/// Buckets of the timeline rule's second line: a candidate's relaxed
+/// timeline is cut into this many equal spans of ticks, and each span's
+/// demand bound is checked against one host before anything is sorted. Of
+/// the 634 candidates of the three searches in `tests/kernel_path_counts.rs`
+/// that the demand sum leaves, 8 buckets leave 285 to the sorted sweep, 16
+/// leave 118, 32 leave 3 and 64 none; the bound's prefix sum grows with
+/// the bucket count.
+const SWEEP_BUCKETS: usize = 32;
+
+/// The smallest `shift` with `last >> shift < SWEEP_BUCKETS`: the width,
+/// as a power of two, of the timeline rule's bucket spans for a timeline
+/// whose largest tick is `last`.
+fn bucket_shift(last: SimTime) -> u32 {
+    (u64::BITS - last.leading_zeros()).saturating_sub(SWEEP_BUCKETS.trailing_zeros())
+}
 
 /// Per-node outcome of one simulation, as observed by the searchers.
 ///
@@ -222,7 +244,7 @@ impl SimResult {
     /// jitter is off and the timeline rule accepted the candidate's
     /// topological relaxation, so every function started the tick its last
     /// input arrived. Only such a result can anchor
-    /// [`CompiledScenario::try_incremental`]. Results of the event loop
+    /// [`CompiledScenario::simulate_anchored`]. Results of the event loop
     /// report `false`, even when no function happened to wait.
     pub fn stall_free(&self) -> bool {
         self.stall_free
@@ -440,7 +462,8 @@ pub struct SimScratch {
     // Relaxation-path buffers: the dense SoA outcome columns, the packed
     // changed/affected masks of an incremental run, the BFS frontier that
     // closes `changed` over descendants, the per-pred-edge transfer table,
-    // and the timeline rule's sorted start and end ticks.
+    // and the timeline rule's start and end ticks (sorted as packed keys
+    // when the rule's sweep runs).
     cols: Columns,
     changed: BitMask,
     affected: BitMask,
@@ -490,6 +513,10 @@ pub struct KernelCounters {
     pub incremental_sims: u64,
     /// Node outcomes copied verbatim from an anchor instead of recomputed.
     pub nodes_reused: u64,
+    /// Relaxed timelines the timeline rule had to sort: neither the demand
+    /// sum nor the bucketed bound settled them, whether the sorted sweep
+    /// then accepted or rejected them.
+    pub sorted_sweeps: u64,
     /// Result-slab allocations: the heap allocations that carry outcome
     /// rows out of the kernel. At most one per chunk on the batch path and
     /// one per result on the solo paths — recycled retired slabs count
@@ -510,6 +537,7 @@ impl KernelCounters {
         self.relaxed_sims += other.relaxed_sims;
         self.incremental_sims += other.incremental_sims;
         self.nodes_reused += other.nodes_reused;
+        self.sorted_sweeps += other.sorted_sweeps;
         self.result_slab_allocs += other.result_slab_allocs;
         self.result_slab_bytes += other.result_slab_bytes;
     }
@@ -830,13 +858,8 @@ impl CompiledScenario {
     }
 
     /// Runs one simulation and returns the lean [`SimResult`] — the hot
-    /// path of every search method.
-    ///
-    /// Routes automatically: on a jitter-free cluster it runs the heap-free
-    /// topological relaxation and keeps it when the timeline rule proves it
-    /// bit-identical to the event loop (`relaxation_exact`); it runs the
-    /// reference event loop otherwise. Either way the result is
-    /// bit-identical to [`CompiledScenario::simulate_reference`].
+    /// path of every search method. The same as
+    /// [`CompiledScenario::simulate_anchored`] without an anchor.
     ///
     /// # Errors
     ///
@@ -850,13 +873,60 @@ impl CompiledScenario {
         input: InputSpec,
         seed: u64,
     ) -> Result<SimResult, SimulatorError> {
+        self.simulate_anchored(scratch, configs, input, seed, None)
+    }
+
+    /// Runs one simulation, reusing `anchor`'s timeline where that is
+    /// exact — the searcher-probe fast path (stagewise `PathConfigState`
+    /// probes mutate one path suffix per step, leaving most of the DAG
+    /// untouched).
+    ///
+    /// Routes automatically: on a jitter-free cluster it runs the heap-free
+    /// topological relaxation — incrementally, re-computing only the nodes
+    /// downstream of a configuration change, when `anchor` is a
+    /// [`SimResult::stall_free`] result for the same input and length — and
+    /// keeps it when the timeline rule proves it bit-identical to the event
+    /// loop (`relaxation_exact`). Otherwise it runs the reference event
+    /// loop, so a candidate the rule rejects is relaxed and checked once.
+    /// Either way the result is bit-identical to
+    /// [`CompiledScenario::simulate_reference`]. An anchor `(configs,
+    /// result)` must pair a configuration with the result of simulating it
+    /// against *this* scenario — the caller owns that pairing; within a
+    /// chunk [`BatchSim::simulate_chunk`] maintains it automatically. An
+    /// anchor that is not stall-free, or is for another input, is ignored.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompiledScenario::simulate`].
+    pub fn simulate_anchored(
+        &self,
+        scratch: &mut SimScratch,
+        configs: &ConfigMap,
+        input: InputSpec,
+        seed: u64,
+        anchor: Option<(&ConfigMap, &SimResult)>,
+    ) -> Result<SimResult, SimulatorError> {
         if self.relaxable() {
             self.validate(configs)?;
+            let anchor = anchor.filter(|(anchor_configs, anchor_result)| {
+                anchor_result.stall_free()
+                    && anchor_configs.len() == self.n
+                    && anchor_result.len() == self.n
+                    && anchor_result.input() == input
+            });
             let mut transfer = std::mem::take(&mut scratch.pred_transfer);
             self.fill_pred_transfer(input, &mut transfer);
+            if let Some((_, anchor_result)) = anchor {
+                scratch.cols.load(anchor_result.executions());
+            }
             scratch.rows.clear();
-            let summary =
-                self.relax_stall_free(scratch, configs.as_slice(), input, &transfer, None);
+            let summary = self.relax_stall_free(
+                scratch,
+                configs.as_slice(),
+                input,
+                &transfer,
+                anchor.map(|(anchor_configs, _)| anchor_configs.as_slice()),
+            );
             scratch.pred_transfer = transfer;
             if let Some(summary) = summary {
                 return Ok(scratch.mint_staged(summary, input, seed));
@@ -889,54 +959,6 @@ impl CompiledScenario {
         Ok(scratch.mint_staged(summary, input, seed))
     }
 
-    /// Re-simulates `configs` by reusing `anchor_result`'s timeline for
-    /// every node that is not downstream of a configuration change — the
-    /// searcher-probe fast path (stagewise `PathConfigState` probes mutate
-    /// one path suffix per step, leaving most of the DAG untouched).
-    ///
-    /// Returns `None` when incremental reuse cannot be *proven*
-    /// bit-identical to [`CompiledScenario::simulate`]: runtime jitter
-    /// enabled, an anchor that is not [`SimResult::stall_free`] or is for a
-    /// different input, `configs` invalid (the caller's fallback to
-    /// `simulate` then reproduces the validation error), or a candidate
-    /// whose relaxed timeline the timeline rule rejects (the fallback then
-    /// runs the event loop, which alone counts the simulation).
-    /// `anchor_result` must be the result of simulating `anchor_configs`
-    /// against *this* scenario — the caller owns that pairing; within a
-    /// chunk [`BatchSim::simulate_chunk`] maintains it automatically.
-    pub fn try_incremental(
-        &self,
-        scratch: &mut SimScratch,
-        configs: &ConfigMap,
-        input: InputSpec,
-        seed: u64,
-        anchor_configs: &ConfigMap,
-        anchor_result: &SimResult,
-    ) -> Option<SimResult> {
-        if !self.relaxable()
-            || !anchor_result.stall_free()
-            || anchor_configs.len() != self.n
-            || anchor_result.len() != self.n
-            || anchor_result.input() != input
-            || self.validate(configs).is_err()
-        {
-            return None;
-        }
-        let mut transfer = std::mem::take(&mut scratch.pred_transfer);
-        self.fill_pred_transfer(input, &mut transfer);
-        scratch.cols.load(anchor_result.executions());
-        scratch.rows.clear();
-        let summary = self.relax_stall_free(
-            scratch,
-            configs.as_slice(),
-            input,
-            &transfer,
-            Some(anchor_configs.as_slice()),
-        );
-        scratch.pred_transfer = transfer;
-        summary.map(|summary| scratch.mint_staged(summary, input, seed))
-    }
-
     /// Whether the relaxation can be tried at all: jitter draws one RNG
     /// value per start in start order, which only the event loop
     /// reproduces, and a cluster of zero hosts keeps the event loop too.
@@ -949,9 +971,10 @@ impl CompiledScenario {
     /// in `scratch.cols`) and keeps the result only if the timeline rule
     /// proves it stall-free. On success the candidate's rows are staged and
     /// the simulation is counted as relaxed or incremental. On rejection
-    /// the staged rows are rolled back and nothing is counted: the caller
-    /// runs the event loop, which counts the simulation once, and
-    /// `scratch.cols` holds the rejected relaxation, not the anchor.
+    /// the staged rows are rolled back and only the rule's sorted sweep is
+    /// counted: the caller runs the event loop, which counts the simulation
+    /// once, and `scratch.cols` holds the rejected relaxation, not the
+    /// anchor.
     fn relax_stall_free(
         &self,
         scratch: &mut SimScratch,
@@ -962,7 +985,7 @@ impl CompiledScenario {
     ) -> Option<RelaxSummary> {
         let base = scratch.rows.len();
         let (summary, reused) = self.relax_cols(scratch, cfgs, input, transfer_ms, edit);
-        if !self.relaxation_exact(cfgs, &scratch.cols, &mut scratch.sweep) {
+        if !self.relaxation_exact(scratch, cfgs, summary.makespan_ms) {
             scratch.rows.truncate(base);
             return None;
         }
@@ -983,7 +1006,8 @@ impl CompiledScenario {
     }
 
     /// The timeline rule: `true` when the relaxed timeline of `cfgs` in
-    /// `cols` is *provably* the event loop's timeline, bit for bit.
+    /// `scratch.cols`, whose latest end is `makespan_ms`, is *provably* the
+    /// event loop's timeline, bit for bit.
     ///
     /// Every function occupies its host over the closed tick interval
     /// `[ms_to_ticks(start_ms), ms_to_ticks(end_ms)]`: the event loop
@@ -993,51 +1017,101 @@ impl CompiledScenario {
     /// function's ready event finds host 0 with room, whatever the event
     /// order, and first-fit starts it there at its ready tick — exactly the
     /// relaxation (runtime jitter is off; the callers check that first).
-    /// The rule's first line is the O(n) sum over every function, which
-    /// bounds any peak, so small workflows never sort; otherwise it sweeps
-    /// the intervals in tick order, starts before ends on equal ticks. The
-    /// memory sums are exact (u32 demands in u64); the vCPU sums keep
-    /// [`NO_STALL_VCPU_MARGIN`] of headroom for f64 accumulation drift.
-    /// `sweep` is the scratch's reusable tick buffer, so the rule allocates
-    /// nothing once warm.
+    ///
+    /// Three lines bound that peak, each tighter than the one before, and
+    /// the first that fits accepts:
+    ///
+    /// 1. The O(n) demand sum over every function bounds any peak, so small
+    ///    workflows never go further.
+    /// 2. An O(n + B) bucketed bound. The ticks `0..=last`, where `last =
+    ///    ms_to_ticks(makespan_ms)` is the largest end tick (`ms_to_ticks`
+    ///    is monotone), are cut into [`SWEEP_BUCKETS`] spans of `1 <<
+    ///    shift` ticks; a difference array adds each interval's vCPU to
+    ///    every span it touches. Tick `t`'s span is `t >> shift`, and an
+    ///    interval `[s, e]` that covers `t` has `s >> shift <= t >> shift
+    ///    <= e >> shift`, so each span's sum bounds the demand at every
+    ///    tick inside it. Any monotone map of ticks to spans would do,
+    ///    which is why clamping to the last span is sound. This line runs
+    ///    only when the memory sum fits, so it sums vCPU alone.
+    /// 3. The exact sorted sweep: the intervals in tick order, starts
+    ///    before ends on equal ticks. It decides every candidate the first
+    ///    two lines leave, and alone rejects one
+    ///    ([`KernelCounters::sorted_sweeps`] counts it either way).
+    ///
+    /// The memory sums are exact (u32 demands in u64); the vCPU sums keep
+    /// [`NO_STALL_VCPU_MARGIN`] of headroom for f64 accumulation drift. The
+    /// ticks are computed once, into the scratch's reusable `sweep` buffer,
+    /// and packed into sort keys in place only when the sweep runs; the
+    /// buckets live on the stack, so the rule allocates nothing once warm.
     fn relaxation_exact(
         &self,
+        scratch: &mut SimScratch,
         cfgs: &[ResourceConfig],
-        cols: &Columns,
-        sweep: &mut Vec<u64>,
+        makespan_ms: f64,
     ) -> bool {
+        let SimScratch {
+            cols,
+            sweep,
+            counters,
+            ..
+        } = scratch;
         let host_vcpu = self.cluster.vcpus_per_host;
         let host_memory_mb = u64::from(self.cluster.memory_mb_per_host);
-        let fits = |vcpu: f64, memory_mb: u64| {
-            vcpu + NO_STALL_VCPU_MARGIN <= host_vcpu && memory_mb <= host_memory_mb
-        };
+        let fits_vcpu = |vcpu: f64| vcpu + NO_STALL_VCPU_MARGIN <= host_vcpu;
         let mut vcpu = 0.0f64;
         let mut memory_mb = 0u64;
         for cfg in cfgs {
             vcpu += cfg.vcpu.get();
             memory_mb += u64::from(cfg.memory.get());
         }
-        if fits(vcpu, memory_mb) {
+        let memory_fits = memory_mb <= host_memory_mb;
+        if memory_fits && fits_vcpu(vcpu) {
             return true;
         }
 
-        // Sort keys pack `tick << bits | node`, so sorting the keys sorts
-        // the ticks and the node rides along. A tick too large to pack
-        // keeps the event loop.
+        // Sort keys will pack `tick << bits | node`, so sorting the keys
+        // sorts the ticks and the node rides along. A tick too large to
+        // pack keeps the event loop; that check comes before the buckets,
+        // so they never accept what the sweep would not.
         let n = self.n;
         let bits = usize::BITS - n.saturating_sub(1).leading_zeros();
         let max_tick = u64::MAX >> bits;
+        let shift = bucket_shift(ms_to_ticks(makespan_ms));
+        let span = |tick: SimTime| ((tick >> shift) as usize).min(SWEEP_BUCKETS - 1);
+        let mut spans = [0.0f64; SWEEP_BUCKETS + 1];
+        let mut latest = 0;
         sweep.clear();
         sweep.resize(2 * n, 0);
         let (starts, ends) = sweep.split_at_mut(n);
         for i in 0..n {
             let start = ms_to_ticks(cols.start_ms[i]);
             let end = ms_to_ticks(cols.end_ms[i]).max(start);
-            if end > max_tick {
-                return false;
+            starts[i] = start;
+            ends[i] = end;
+            latest = latest.max(end);
+            let vcpu = cfgs[i].vcpu.get();
+            spans[span(start)] += vcpu;
+            spans[span(end) + 1] -= vcpu;
+        }
+        if latest > max_tick {
+            return false;
+        }
+        if memory_fits {
+            let mut vcpu = 0.0f64;
+            let mut fit = true;
+            for delta in &spans[..SWEEP_BUCKETS] {
+                vcpu += delta;
+                fit &= fits_vcpu(vcpu);
             }
-            starts[i] = start << bits | i as u64;
-            ends[i] = end << bits | i as u64;
+            if fit {
+                return true;
+            }
+        }
+
+        counters.sorted_sweeps += 1;
+        for (i, (start, end)) in starts.iter_mut().zip(ends.iter_mut()).enumerate() {
+            *start = *start << bits | i as u64;
+            *end = *end << bits | i as u64;
         }
         starts.sort_unstable();
         ends.sort_unstable();
@@ -1056,7 +1130,7 @@ impl CompiledScenario {
             let cfg = node(start);
             vcpu += cfg.vcpu.get();
             memory_mb += u64::from(cfg.memory.get());
-            if !fits(vcpu, memory_mb) {
+            if !(fits_vcpu(vcpu) && memory_mb <= host_memory_mb) {
                 return false;
             }
         }
@@ -1937,98 +2011,176 @@ mod tests {
     }
 
     #[test]
+    fn a_bucket_that_over_counts_leaves_the_decision_to_the_sorted_sweep() {
+        // A 4-vCPU function runs for 32 s beside two 3-vCPU functions that
+        // run 100 ms each, one after the other with a 10 ms transfer
+        // between them, on an 8-vCPU host. At most 7 vCPU run at once, but
+        // all three intervals touch the first of the 32 buckets of about
+        // one second each, which counts 10 vCPU.
+        let mut b = WorkflowBuilder::new("buckets");
+        let long = b.add_function("long");
+        let first = b.add_function("first");
+        let second = b.add_function("second");
+        b.add_edge_with(first, second, 10.0, CommunicationKind::Direct)
+            .unwrap();
+        let wf = b.build().unwrap();
+        let mut p = ProfileSet::new();
+        for (id, name, serial_ms) in [
+            (long, "long", 32_000.0),
+            (first, "first", 100.0),
+            (second, "second", 100.0),
+        ] {
+            p.insert(
+                id,
+                FunctionProfile::builder(name).serial_ms(serial_ms).build(),
+            );
+        }
+        let cluster = ClusterSpec {
+            vcpus_per_host: 8.0,
+            ..ClusterSpec::paper_testbed()
+        };
+        let scenario = CompiledScenario::compile(&wf, &p, cluster, PricingModel::paper()).unwrap();
+        let mut configs = ConfigMap::uniform(3, ResourceConfig::new(3.0, 512));
+        configs.set(long, ResourceConfig::new(4.0, 512));
+        let mut scratch = SimScratch::new();
+        let relaxed = scenario
+            .simulate(&mut scratch, &configs, InputSpec::nominal(), 0)
+            .unwrap();
+        let [_, a, b] = relaxed.executions() else {
+            panic!("three functions ran");
+        };
+        let shift = bucket_shift(ms_to_ticks(relaxed.makespan_ms()));
+        assert!(ms_to_ticks(a.end_ms) < ms_to_ticks(b.start_ms));
+        assert_eq!(ms_to_ticks(b.end_ms) >> shift, 0, "one bucket holds both");
+        assert!(relaxed.stall_free());
+        let counters = scratch.counters();
+        assert_eq!(
+            (counters.relaxed_sims, counters.sorted_sweeps),
+            (1, 1),
+            "the buckets failed and the sweep relaxed the candidate"
+        );
+        let reference = scenario
+            .simulate_reference(&mut scratch, &configs, InputSpec::nominal(), 0)
+            .unwrap();
+        assert_eq!(relaxed, reference);
+    }
+
+    #[test]
     fn intervals_that_touch_on_one_tick_overlap() {
         // Two chained 3-vCPU functions on a 4-vCPU host, no transfer: the
         // first ends on the tick the second starts. The closed intervals
         // share that tick, so the rule keeps the event loop (which here
-        // releases the first before placing the second).
-        let mut b = WorkflowBuilder::new("touch");
-        let first = b.add_function("first");
-        let second = b.add_function("second");
-        b.add_edge_with(first, second, 0.0, CommunicationKind::Direct)
-            .unwrap();
-        let wf = b.build().unwrap();
-        let mut p = ProfileSet::new();
-        p.insert(
-            first,
-            FunctionProfile::builder("first").serial_ms(1_000.0).build(),
-        );
-        p.insert(
-            second,
-            FunctionProfile::builder("second").serial_ms(500.0).build(),
-        );
-        let cluster = ClusterSpec {
-            vcpus_per_host: 4.0,
-            ..ClusterSpec::paper_testbed()
-        };
-        let scenario = CompiledScenario::compile(&wf, &p, cluster, PricingModel::paper()).unwrap();
-        let configs = ConfigMap::uniform(2, ResourceConfig::new(3.0, 512));
-        let mut scratch = SimScratch::new();
-        let routed = scenario
-            .simulate(&mut scratch, &configs, InputSpec::nominal(), 0)
-            .unwrap();
-        let [a, b] = routed.executions() else {
-            panic!("two functions ran");
-        };
-        assert_eq!(ms_to_ticks(a.end_ms), ms_to_ticks(b.start_ms));
-        assert!(!routed.stall_free());
-        let counters = scratch.counters();
-        assert_eq!((counters.sims, counters.relaxed_sims), (1, 0));
-        assert_eq!(counters.capacity_stalls, 0);
-        let reference = scenario
-            .simulate_reference(&mut scratch, &configs, InputSpec::nominal(), 0)
-            .unwrap();
-        assert_eq!(routed, reference);
+        // releases the first before placing the second). In the second
+        // case the shared tick is the first of a bucket, so the first
+        // function's other ticks lie in the bucket before it; the shared
+        // bucket still counts both, and the sorted sweep decides.
+        for (first_ms, on_a_boundary) in [(1_000.0, false), (1_048.576, true)] {
+            let mut b = WorkflowBuilder::new("touch");
+            let first = b.add_function("first");
+            let second = b.add_function("second");
+            b.add_edge_with(first, second, 0.0, CommunicationKind::Direct)
+                .unwrap();
+            let wf = b.build().unwrap();
+            let mut p = ProfileSet::new();
+            p.insert(
+                first,
+                FunctionProfile::builder("first")
+                    .serial_ms(first_ms)
+                    .build(),
+            );
+            p.insert(
+                second,
+                FunctionProfile::builder("second").serial_ms(500.0).build(),
+            );
+            let cluster = ClusterSpec {
+                vcpus_per_host: 4.0,
+                ..ClusterSpec::paper_testbed()
+            };
+            let scenario =
+                CompiledScenario::compile(&wf, &p, cluster, PricingModel::paper()).unwrap();
+            let configs = ConfigMap::uniform(2, ResourceConfig::new(3.0, 512));
+            let mut scratch = SimScratch::new();
+            let routed = scenario
+                .simulate(&mut scratch, &configs, InputSpec::nominal(), 0)
+                .unwrap();
+            let [a, b] = routed.executions() else {
+                panic!("two functions ran");
+            };
+            let touch = ms_to_ticks(a.end_ms);
+            assert_eq!(touch, ms_to_ticks(b.start_ms));
+            let shift = bucket_shift(ms_to_ticks(routed.makespan_ms()));
+            assert_eq!(
+                touch.is_multiple_of(1 << shift),
+                on_a_boundary,
+                "{first_ms} ms"
+            );
+            assert!(!routed.stall_free());
+            let counters = scratch.counters();
+            assert_eq!(
+                (counters.sims, counters.relaxed_sims, counters.sorted_sweeps),
+                (1, 0, 1)
+            );
+            assert_eq!(counters.capacity_stalls, 0);
+            let reference = scenario
+                .simulate_reference(&mut scratch, &configs, InputSpec::nominal(), 0)
+                .unwrap();
+            assert_eq!(routed, reference);
+        }
     }
 
     #[test]
     fn a_stalling_candidate_is_refused_incrementally_and_counted_once() {
-        let scenario = compiled(0.0);
-        let mut scratch = SimScratch::new();
-        let base = ConfigMap::uniform(3, ResourceConfig::new(2.0, 1_024));
-        let anchor = scenario
-            .simulate(&mut scratch, &base, InputSpec::nominal(), 0)
+        let (wf, p, cluster) = scenario_parts(0.0);
+        let env = crate::env::WorkflowEnvironment::builder(wf, p)
+            .cluster(cluster)
+            .build()
             .unwrap();
-        assert!(anchor.stall_free());
+        let service = crate::eval::EvalService::with_threads(1);
+        let handle = service.register(env);
+        let base = ConfigMap::uniform(3, ResourceConfig::new(2.0, 1_024));
+        let anchor = handle.evaluate(&base).unwrap();
+        assert!(anchor.stall_free(), "the probe anchor is stall-free");
         // The fan-out's two 50-vCPU functions overlap on 100 vCPU.
         let mut wide = base.clone();
         wide.set(NodeId::new(1), ResourceConfig::new(50.0, 1_024));
         wide.set(NodeId::new(2), ResourceConfig::new(50.0, 1_024));
-        let before = scratch.counters();
-        let refused =
-            scenario.try_incremental(&mut scratch, &wide, InputSpec::nominal(), 0, &base, &anchor);
-        assert!(refused.is_none());
-        assert_eq!(
-            scratch.counters(),
-            before,
-            "a refused relaxation counts nothing"
-        );
-        let routed = scenario
-            .simulate(&mut scratch, &wide, InputSpec::nominal(), 0)
-            .unwrap();
-        let counters = scratch.counters();
+        let before = service.kernel_counters();
+        let routed = handle.evaluate(&wide).unwrap();
+        let counters = service.kernel_counters();
+        // Relaxed once off the anchor and sorted once, then straight to
+        // the event loop, which alone counts the simulation.
+        assert_eq!(counters.sorted_sweeps, before.sorted_sweeps + 1);
         assert_eq!(counters.sims, before.sims + 1);
-        assert_eq!(counters.relaxed_sims, before.relaxed_sims);
-        assert!(counters.capacity_stalls > 0);
+        assert_eq!(
+            (counters.relaxed_sims, counters.incremental_sims),
+            (before.relaxed_sims, before.incremental_sims)
+        );
+        assert!(counters.capacity_stalls > before.capacity_stalls);
+        assert!(!routed.stall_free());
+        let scenario = compiled(0.0);
+        let mut scratch = SimScratch::new();
         assert_eq!(
             routed,
             scenario
-                .simulate_reference(&mut SimScratch::new(), &wide, InputSpec::nominal(), 0)
+                .simulate_reference(&mut scratch, &wide, InputSpec::nominal(), 0)
                 .unwrap()
         );
-        // An event-loop result never anchors.
-        let mut edited = wide.clone();
-        edited.set(NodeId::new(0), ResourceConfig::new(1.0, 1_024));
-        assert!(scenario
-            .try_incremental(
+        // An event-loop result never anchors: the next candidate relaxes
+        // in full.
+        let before = scratch.counters();
+        let full = scenario
+            .simulate_anchored(
                 &mut scratch,
-                &edited,
+                &base,
                 InputSpec::nominal(),
                 0,
-                &wide,
-                &routed
+                Some((&wide, &routed)),
             )
-            .is_none());
+            .unwrap();
+        assert_eq!(full, anchor);
+        let counters = scratch.counters();
+        assert_eq!(counters.relaxed_sims, before.relaxed_sims + 1);
+        assert_eq!(counters.incremental_sims, before.incremental_sims);
     }
 
     #[test]
@@ -2042,20 +2194,19 @@ mod tests {
         let mut edited = base.clone();
         edited.set(NodeId::new(2), ResourceConfig::new(4.0, 2_048));
         let inc = scenario
-            .try_incremental(
+            .simulate_anchored(
                 &mut scratch,
                 &edited,
                 InputSpec::nominal(),
                 1,
-                &base,
-                &anchor,
+                Some((&base, &anchor)),
             )
-            .expect("jitter-free no-stall candidates are incremental-eligible");
+            .unwrap();
+        assert_eq!(scratch.counters().incremental_sims, 1);
         let full = scenario
             .simulate(&mut scratch, &edited, InputSpec::nominal(), 1)
             .unwrap();
         assert_eq!(inc, full);
-        assert_eq!(scratch.counters().incremental_sims, 1);
         assert!(
             scratch.counters().nodes_reused > 0,
             "the untouched prefix is reused"
@@ -2070,16 +2221,18 @@ mod tests {
         let anchor = scenario
             .simulate(&mut scratch, &base, InputSpec::nominal(), 1)
             .unwrap();
-        assert!(scenario
-            .try_incremental(
-                &mut scratch,
-                &base,
-                InputSpec::new(2.0, 64.0),
-                1,
-                &base,
-                &anchor
-            )
-            .is_none());
+        let input = InputSpec::new(2.0, 64.0);
+        let routed = scenario
+            .simulate_anchored(&mut scratch, &base, input, 1, Some((&base, &anchor)))
+            .unwrap();
+        let counters = scratch.counters();
+        assert_eq!((counters.relaxed_sims, counters.incremental_sims), (2, 0));
+        assert_eq!(
+            routed,
+            scenario
+                .simulate_reference(&mut scratch, &base, input, 1)
+                .unwrap()
+        );
     }
 
     #[test]

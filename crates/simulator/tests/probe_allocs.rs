@@ -97,8 +97,8 @@ fn env() -> WorkflowEnvironment {
 /// entry fanning out to six branches that join, then fan out to four more
 /// that join. At 10 vCPU each, the ten functions [`chain`] never edits
 /// already sum to 100 vCPU, more than the host, but at most six run at
-/// once, so the kernel proves a probe stall-free only by sweeping its
-/// relaxed timeline.
+/// once, so the kernel proves a probe stall-free only from its relaxed
+/// timeline, by the bucketed bound of the timeline rule.
 fn wide_env() -> WorkflowEnvironment {
     let mut b = WorkflowBuilder::new("probe-allocs-wide");
     let nodes: Vec<_> = (0..13).map(|i| b.add_function(format!("f{i}"))).collect();
@@ -205,16 +205,17 @@ fn a_distinct_probe_miss_allocates_at_most_its_key_and_its_slab() {
 }
 
 #[test]
-fn a_probe_miss_proven_by_the_interval_sweep_allocates_at_most_two() {
+fn a_probe_miss_proven_by_the_timeline_rule_allocates_at_most_two() {
     let candidates = chain(13, ResourceConfig::new(10.0, 1_024), 400);
     let vcpu = |c: &ConfigMap| -> f64 { c.as_slice().iter().map(|r| r.vcpu.get()).sum() };
     assert!(candidates.iter().all(|c| vcpu(c) > 96.0));
     let counters = assert_probe_misses_allocate_at_most_two(wide_env(), &candidates);
-    // Every probe after the first re-simulated incrementally: the sweep
-    // ran on each, and none took the event loop.
+    // Every probe after the first re-simulated incrementally: the bucketed
+    // bound proved each, none needed sorting and none took the event loop.
     assert_eq!(counters.sims, 400);
     assert_eq!(counters.incremental_sims, 399);
     assert_eq!(counters.relaxed_sims, 1);
+    assert_eq!(counters.sorted_sweeps, 0);
 }
 
 #[test]

@@ -181,8 +181,8 @@ proptest! {
 
     /// Incremental re-simulation off an anchor agrees bit-for-bit with a
     /// full simulation after any sequence of random config edits — and is
-    /// refused (returns `None`) whenever exactness can't be proven (here:
-    /// runtime jitter on).
+    /// refused (the kernel simulates in full) whenever exactness can't be
+    /// proven (here: runtime jitter on).
     #[test]
     fn incremental_resimulation_matches_full(
         case in arb_case(),
@@ -215,22 +215,25 @@ proptest! {
         let full = compiled
             .simulate(&mut scratch, &configs, env.input(), seed)
             .unwrap();
-        let inc = compiled.try_incremental(
-            &mut scratch,
-            &configs,
-            env.input(),
-            seed,
-            &anchor_cfgs,
-            &anchor,
-        );
+        let before = scratch.counters().incremental_sims;
+        let inc = compiled
+            .simulate_anchored(
+                &mut scratch,
+                &configs,
+                env.input(),
+                seed,
+                Some((&anchor_cfgs, &anchor)),
+            )
+            .unwrap();
+        prop_assert_eq!(&inc, &full);
+        let incremental = scratch.counters().incremental_sims - before;
         if jitter_free {
             // Paper-space candidates on the paper testbed always satisfy
             // the no-stall condition (8 × 10 vCPU < 96), so eligibility is
-            // guaranteed — and the result must be bit-identical.
-            let inc = inc.expect("jitter-free paper-space candidates are eligible");
-            prop_assert_eq!(&inc, &full);
+            // guaranteed.
+            prop_assert_eq!(incremental, 1, "jitter-free paper-space candidates are eligible");
         } else {
-            prop_assert!(inc.is_none(), "jitter must refuse incremental reuse");
+            prop_assert_eq!(incremental, 0, "jitter must refuse incremental reuse");
         }
     }
 
@@ -462,8 +465,12 @@ fn bits(result: &SimResult) -> Vec<u64> {
 /// [`every_path_equals_the_event_loop_on_tight_clusters`].
 #[derive(Debug, Default, Clone, Copy)]
 struct Sides {
-    /// Relaxed although the demand sum exceeds the host: the sweep's proof.
-    relaxed_by_sweep: u64,
+    /// Relaxed although the demand sum exceeds the host, by the bucketed
+    /// bound, which sorts nothing.
+    relaxed_by_buckets: u64,
+    /// Relaxed only by the sorted sweep: neither the demand sum nor the
+    /// buckets fit the host.
+    relaxed_by_sort: u64,
     /// Relaxed because the demand sum fits the host.
     relaxed_by_sum: u64,
     /// Served by the event loop.
@@ -480,11 +487,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// On clusters tight enough that candidates stall, `simulate`,
-    /// `try_incremental` off a stall-free anchor and one `simulate_chunk`
+    /// `simulate_anchored` off the previous candidate and one `simulate_chunk`
     /// over the edit chain all equal the event loop bit for bit, and a
     /// candidate is relaxed exactly when its relaxed timeline passes the
-    /// rule. Runtimes sit on a 500 ms grid, so one function often ends on
-    /// the tick another starts.
+    /// rule; only the sorted sweep rejects one. Runtimes sit on a 500 ms
+    /// grid, so one function often ends on the tick another starts.
     fn every_path_equals_the_event_loop_on_tight_clusters(case in arb_tight_case()) {
         let TightCase { scenario, chain } = case;
         let host = scenario.cluster();
@@ -498,7 +505,9 @@ proptest! {
             let reference = scenario
                 .simulate_reference(&mut reference_scratch, configs, input, 0)
                 .unwrap();
+            let sorted_before = scratch.counters().sorted_sweeps;
             let solo = scenario.simulate(&mut scratch, configs, input, 0).unwrap();
+            let sorted = scratch.counters().sorted_sweeps > sorted_before;
             prop_assert_eq!(bits(&solo), bits(&reference));
             let (vcpu, memory_mb) = configs.as_slice().iter().fold((0.0, 0u64), |(v, m), c| {
                 (v + c.vcpu.get(), m + u64::from(c.memory.get()))
@@ -508,10 +517,14 @@ proptest! {
             if !solo.stall_free() {
                 sides.event_loop += 1;
                 prop_assert!(!sum_fits, "the demand sum alone proves this candidate");
+                prop_assert!(sorted, "a candidate was rejected without the sorted sweep");
             } else if sum_fits {
                 sides.relaxed_by_sum += 1;
+                prop_assert!(!sorted, "the demand sum fits, yet the rule sorted");
+            } else if sorted {
+                sides.relaxed_by_sort += 1;
             } else {
-                sides.relaxed_by_sweep += 1;
+                sides.relaxed_by_buckets += 1;
             }
             if reference_scratch.counters().capacity_stalls > 0 {
                 sides.stalled += 1;
@@ -523,21 +536,25 @@ proptest! {
         SIDES.set(sides);
 
         for k in 1..chain.len() {
-            if !solos[k - 1].stall_free() {
-                continue;
-            }
-            let inc = scenario.try_incremental(
-                &mut scratch,
-                &chain[k],
-                input,
-                0,
-                &chain[k - 1],
-                &solos[k - 1],
-            );
-            prop_assert_eq!(inc.is_some(), solos[k].stall_free());
-            if let Some(inc) = inc {
-                prop_assert_eq!(bits(&inc), bits(&references[k]));
-            }
+            let before = scratch.counters();
+            let anchored = scenario
+                .simulate_anchored(
+                    &mut scratch,
+                    &chain[k],
+                    input,
+                    0,
+                    Some((&chain[k - 1], &solos[k - 1])),
+                )
+                .unwrap();
+            let after = scratch.counters();
+            prop_assert_eq!(bits(&anchored), bits(&references[k]));
+            prop_assert_eq!(anchored.stall_free(), solos[k].stall_free());
+            // Incremental exactly off a stall-free anchor, and one
+            // simulation either way: a rejected candidate goes straight to
+            // the event loop.
+            let incremental = solos[k - 1].stall_free() && solos[k].stall_free();
+            prop_assert_eq!(after.incremental_sims - before.incremental_sims, u64::from(incremental));
+            prop_assert_eq!(after.sims - before.sims, 1);
         }
 
         let jobs: Vec<(&ConfigMap, u64)> = chain.iter().map(|c| (c, 0)).collect();
@@ -554,7 +571,8 @@ fn tight_clusters_match_the_event_loop_on_both_sides_of_the_rule() {
     every_path_equals_the_event_loop_on_tight_clusters();
     let sides = SIDES.get();
     assert!(
-        sides.relaxed_by_sweep > 0
+        sides.relaxed_by_buckets > 0
+            && sides.relaxed_by_sort > 0
             && sides.relaxed_by_sum > 0
             && sides.event_loop > 0
             && sides.stalled > 0,

@@ -56,6 +56,7 @@ fn a_wide_workflow_searches_off_the_event_loop() {
         relaxed_sims,
         incremental_sims,
         capacity_stalls,
+        sorted_sweeps,
         result_slab_allocs,
         ..
     } = service.kernel_counters();
@@ -64,6 +65,10 @@ fn a_wide_workflow_searches_off_the_event_loop() {
         (sims, event_loop, incremental_sims, result_slab_allocs),
         (SIMS, EVENT_LOOP, INCREMENTAL, SLAB_ALLOCS),
         "kernel paths drifted (relaxed {relaxed_sims}, stalls {capacity_stalls})"
+    );
+    assert_eq!(
+        sorted_sweeps, SORTED_SWEEPS,
+        "the timeline rule's lines drifted"
     );
 }
 
@@ -79,3 +84,7 @@ const INCREMENTAL: u64 = 676;
 /// Result-slab allocations, pinned with the paths so a pooling change
 /// shows here too; the rule does not move them.
 const SLAB_ALLOCS: u64 = 626;
+/// Relaxed timelines the rule had to sort, because neither the demand sum
+/// nor its bucketed bound fit the host. A rule that sorts every timeline
+/// the demand sum leaves sorts 634.
+const SORTED_SWEEPS: u64 = 3;
