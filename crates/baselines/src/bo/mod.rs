@@ -176,11 +176,7 @@ impl BoStrategy {
     /// best-so-far tracking.
     fn observe_sample(&mut self, point: &[f64], configs: ConfigMap, report: &SimResult) {
         let feasible = report.meets_slo(self.slo_ms) && !report.any_oom();
-        self.trace.record(
-            report,
-            feasible,
-            format!("bo sample {}", self.trace.sample_count() + 1),
-        );
+        self.trace.record(report, feasible);
         let obj = BayesianOptimization::objective(
             report.total_cost(),
             report.makespan_ms(),
@@ -274,7 +270,7 @@ impl SearchStrategy for BoStrategy {
         match self.stage {
             Stage::Base => {
                 let base_report = &results[0];
-                self.trace.record(base_report, true, "base configuration");
+                self.trace.record(base_report, true);
                 if base_report.any_oom() {
                     return Err(AarcError::BaseConfigurationOom);
                 }

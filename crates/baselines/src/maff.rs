@@ -91,7 +91,6 @@ enum Stage {
 struct PendingStep {
     node: NodeId,
     previous: ResourceConfig,
-    candidate: ResourceConfig,
     candidate_mem: u32,
 }
 
@@ -178,7 +177,6 @@ impl SearchStrategy for MaffStrategy {
                     self.pending = Some(PendingStep {
                         node,
                         previous,
-                        candidate,
                         candidate_mem,
                     });
                     return Ok(Ask::Probe(self.configs.clone()));
@@ -193,12 +191,11 @@ impl SearchStrategy for MaffStrategy {
         }
     }
 
-    fn tell(&mut self, env: &WorkflowEnvironment, results: &[SimResult]) -> Result<(), AarcError> {
+    fn tell(&mut self, _env: &WorkflowEnvironment, results: &[SimResult]) -> Result<(), AarcError> {
         let report = &results[0];
         match self.stage {
             Stage::Base => {
-                self.trace
-                    .record(report, true, "coupled base configuration");
+                self.trace.record(report, true);
                 if report.any_oom() {
                     return Err(AarcError::BaseConfigurationOom);
                 }
@@ -217,22 +214,15 @@ impl SearchStrategy for MaffStrategy {
                 let PendingStep {
                     node,
                     previous,
-                    candidate,
                     candidate_mem,
                 } = self.pending.take().expect("a descent step is in flight");
-                let label = format!(
-                    "{}: {} -> {}",
-                    env.workflow().function(node).name(),
-                    previous,
-                    candidate
-                );
                 if !report.meets_slo(self.slo_ms) {
                     // Paper: revert to the previous step and terminate.
-                    self.trace.record(report, false, label);
+                    self.trace.record(report, false);
                     self.configs.set(node, previous);
                     self.stage = Stage::Final;
                 } else if report.total_cost() + 1e-9 < self.best_cost {
-                    self.trace.record(report, true, label);
+                    self.trace.record(report, true);
                     self.memories[node.index()] = candidate_mem;
                     self.best_cost = report.total_cost();
                     self.improved = true;
@@ -240,7 +230,7 @@ impl SearchStrategy for MaffStrategy {
                 } else {
                     // Cost did not improve: undo and move on (local
                     // gradient is non-negative in this direction).
-                    self.trace.record(report, false, label);
+                    self.trace.record(report, false);
                     self.configs.set(node, previous);
                     self.pos += 1;
                 }

@@ -90,7 +90,7 @@ impl SearchStrategy for RandomStrategy {
         match self.stage {
             Stage::Base => {
                 let base_report = &results[0];
-                self.trace.record(base_report, true, "base configuration");
+                self.trace.record(base_report, true);
                 if base_report.any_oom() {
                     return Err(AarcError::BaseConfigurationOom);
                 }
@@ -135,11 +135,7 @@ impl SearchStrategy for RandomStrategy {
                     .zip(results)
                 {
                     let feasible = report.meets_slo(self.slo_ms) && !report.any_oom();
-                    self.trace.record(
-                        report,
-                        feasible,
-                        format!("random sample {}", self.trace.sample_count() + 1),
-                    );
+                    self.trace.record(report, feasible);
                     if feasible && report.total_cost() < self.best_cost {
                         self.best_cost = report.total_cost();
                         self.best_configs = Some(configs);

@@ -94,7 +94,7 @@ impl PriorityConfigurator {
         let mut state = self.begin_path(env, path, path_budget_ms, end_to_end_slo_ms, baseline);
         while state.propose(env, configs) {
             let report = handle.evaluate(configs)?;
-            state.observe(env, configs, &report, trace);
+            state.observe(configs, &report, trace);
         }
         Ok(state.result())
     }
@@ -201,7 +201,6 @@ fn deallocate(
 struct PendingOp {
     op: Operation,
     previous: ResourceConfig,
-    candidate: ResourceConfig,
 }
 
 /// The resumable ask/tell form of Algorithm 2 over one path: an operation
@@ -253,11 +252,7 @@ impl PathConfigState {
                 continue;
             };
             configs.set(op.node, candidate);
-            self.pending = Some(PendingOp {
-                op,
-                previous,
-                candidate,
-            });
+            self.pending = Some(PendingOp { op, previous });
             return true;
         }
         false
@@ -267,23 +262,19 @@ impl PathConfigState {
     /// last [`propose`](PathConfigState::propose): keeps the reduction (and
     /// re-prioritises its operation by the achieved saving) or reverts
     /// `configs` and re-enqueues with exponential back-off (Algorithm 2,
-    /// lines 14-21). The sample is appended to `trace`.
+    /// lines 14-21). The sample is appended to `trace`, accepted exactly
+    /// when the reduction is kept.
     ///
     /// # Panics
     ///
     /// Panics if no candidate is in flight.
     pub fn observe(
         &mut self,
-        env: &WorkflowEnvironment,
         configs: &mut ConfigMap,
         report: &SimResult,
         trace: &mut SearchTrace,
     ) {
-        let PendingOp {
-            mut op,
-            previous,
-            candidate,
-        } = self
+        let PendingOp { mut op, previous } = self
             .pending
             .take()
             .expect("observe called without a candidate in flight");
@@ -295,15 +286,7 @@ impl PathConfigState {
             || report.makespan_ms() > self.end_to_end_slo_ms
             || report.any_oom()
             || new_path_cost > self.current_path_cost + 1e-9;
-
-        let label = format!(
-            "{}.{} {} -> {}",
-            env.workflow().function(op.node).name(),
-            op.op_type,
-            previous,
-            candidate
-        );
-        trace.record(report, !violates, label);
+        trace.record(report, !violates);
 
         if violates {
             // Revert and back off exponentially (Algorithm 2, lines 14-18).
@@ -570,7 +553,7 @@ mod tests {
         while state.propose(&env, &mut configs_state) {
             assert!(state.is_pending());
             let report = handle_state.evaluate(&configs_state).unwrap();
-            state.observe(&env, &mut configs_state, &report, &mut trace_state);
+            state.observe(&mut configs_state, &report, &mut trace_state);
         }
         assert_eq!(configs_sync, configs_state);
         assert_eq!(trace_sync, trace_state);

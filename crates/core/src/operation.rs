@@ -16,15 +16,6 @@ pub enum OpType {
     Mem,
 }
 
-impl std::fmt::Display for OpType {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OpType::Cpu => f.write_str("cpu"),
-            OpType::Mem => f.write_str("mem"),
-        }
-    }
-}
-
 /// One pending shrink operation: *"reduce resource `op_type` of function
 /// `node` by `step` (a fraction of the base allocation); `trail` reverts
 /// remain before the operation is abandoned"* (Algorithm 2, lines 5–8).
@@ -51,19 +42,6 @@ impl Operation {
             step,
             trail,
         }
-    }
-}
-
-impl std::fmt::Display for Operation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}.{} -{:.0}% (trail {})",
-            self.node,
-            self.op_type,
-            self.step * 100.0,
-            self.trail
-        )
     }
 }
 
@@ -194,14 +172,5 @@ mod tests {
         let first = q.pop().unwrap();
         let second = q.pop().unwrap();
         assert_ne!(first.node, second.node);
-    }
-
-    #[test]
-    fn operation_display_mentions_step_and_trail() {
-        let o = Operation::new(NodeId::new(3), OpType::Cpu, 0.2, 2);
-        let s = o.to_string();
-        assert!(s.contains("cpu"));
-        assert!(s.contains("20%"));
-        assert!(s.contains("2"));
     }
 }

@@ -251,7 +251,7 @@ impl SearchStrategy for SchedulerStrategy {
         let result = &results[0];
         match std::mem::replace(&mut self.stage, Stage::Finished) {
             Stage::Base => {
-                self.trace.record(result, true, "base configuration");
+                self.trace.record(result, true);
                 if result.any_oom() {
                     return Err(AarcError::BaseConfigurationOom);
                 }
@@ -278,31 +278,25 @@ impl SearchStrategy for SchedulerStrategy {
                 self.stage = Stage::Critical(state);
             }
             Stage::Critical(mut state) => {
-                state.observe(env, &mut self.configs, result, &mut self.trace);
+                state.observe(&mut self.configs, result, &mut self.trace);
                 self.stage = Stage::Critical(state);
             }
             Stage::CriticalReexec => {
-                self.trace.record(result, true, "critical path configured");
+                self.trace.record(result, true);
                 self.current_report = Some(result.clone());
                 self.stage = Stage::Subpaths { next: 0 };
             }
             Stage::Subpath { index, mut state } => {
-                state.observe(env, &mut self.configs, result, &mut self.trace);
+                state.observe(&mut self.configs, result, &mut self.trace);
                 self.stage = Stage::Subpath { index, state };
             }
             Stage::SubpathReexec { index } => {
-                let interior_len = self.decomposition().subpaths[index].interior.len();
-                self.trace.record(
-                    result,
-                    true,
-                    format!("sub-path of {interior_len} functions configured"),
-                );
+                self.trace.record(result, true);
                 self.current_report = Some(result.clone());
                 self.stage = Stage::Subpaths { next: index + 1 };
             }
             Stage::Guard => {
-                self.trace
-                    .record(result, true, "slo guard: detours reverted to base");
+                self.trace.record(result, true);
                 self.final_report = Some(result.clone());
                 self.stage = Stage::Finished;
             }

@@ -2,8 +2,6 @@
 //! the per-sample trace that drives the paper's search-efficiency figures
 //! (Figs. 5, 6 and 7).
 
-use serde::{Deserialize, Serialize};
-
 use aarc_simulator::{
     ConfigMap, EvalService, ExecutionReport, ScenarioHandle, SimResult, WorkflowEnvironment,
 };
@@ -12,11 +10,12 @@ use crate::driver::{SearchDriver, SearchStrategy};
 use crate::error::AarcError;
 
 /// One configuration sample taken during a search: the candidate was
-/// executed once and its runtime and cost observed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// executed once and its runtime, cost and feasibility observed. A sample
+/// is plain data: its position in the [`SearchTrace`] is its index, and it
+/// carries no description of the candidate, since the reports and figures
+/// read only the trace's counts, totals and series.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchSample {
-    /// 1-based sample index.
-    pub index: usize,
     /// End-to-end runtime of the sampled execution, in ms.
     pub makespan_ms: f64,
     /// Billed cost of the sampled execution.
@@ -25,8 +24,6 @@ pub struct SearchSample {
     pub oom: bool,
     /// Whether the sample was accepted (kept) by the search method.
     pub accepted: bool,
-    /// Short human-readable description (e.g. `"n2.cpu -20%"`).
-    pub label: String,
 }
 
 /// The chronological record of all samples taken by one search run.
@@ -34,7 +31,7 @@ pub struct SearchSample {
 /// *Total search runtime* (Fig. 5a) is the sum of the sampled executions'
 /// runtimes — each sample requires actually running the workflow once on the
 /// platform. *Total search cost* (Fig. 5b) is the sum of their billed costs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SearchTrace {
     samples: Vec<SearchSample>,
 }
@@ -47,34 +44,22 @@ impl SearchTrace {
         }
     }
 
-    /// Records one sample, assigning it the next index.
-    pub fn record(&mut self, result: &SimResult, accepted: bool, label: impl Into<String>) {
-        self.push(SearchSample {
-            index: 0,
+    /// Records the observed `result` of one sampled execution, and whether
+    /// the search method `accepted` it, as the trace's next sample.
+    pub fn record(&mut self, result: &SimResult, accepted: bool) {
+        self.samples.push(SearchSample {
             makespan_ms: result.makespan_ms(),
             cost: result.total_cost(),
             oom: result.any_oom(),
             accepted,
-            label: label.into(),
         });
     }
 
-    /// Appends an already-constructed sample, re-assigning its index to keep
-    /// the trace chronological.
-    pub fn push(&mut self, mut sample: SearchSample) {
-        sample.index = self.samples.len() + 1;
-        self.samples.push(sample);
-    }
-
-    /// Consumes `other`, moving its samples onto the end of this trace and
-    /// re-indexing them in place — used by the input-aware engine to fold
-    /// the per-class scheduler runs into one engine-level trace.
+    /// Consumes `other`, moving its samples onto the end of this trace in
+    /// order — used by the input-aware engine to fold the per-class
+    /// scheduler runs into one engine-level trace.
     pub fn append(&mut self, other: SearchTrace) {
-        let offset = self.samples.len();
         self.samples.extend(other.samples);
-        for (i, sample) in self.samples.iter_mut().enumerate().skip(offset) {
-            sample.index = i + 1;
-        }
     }
 
     /// All samples in chronological order.
@@ -272,47 +257,48 @@ mod tests {
         let small = handle
             .evaluate(&ConfigMap::uniform(1, ResourceConfig::new(1.0, 512)))
             .unwrap();
-        trace.record(&big, true, "base");
-        trace.record(&small, true, "shrunk");
+        trace.record(&big, true);
+        trace.record(&small, false);
         assert_eq!(trace.sample_count(), 2);
-        assert_eq!(trace.samples()[0].index, 1);
-        assert_eq!(trace.samples()[1].index, 2);
+        assert_eq!(
+            trace.samples()[1],
+            SearchSample {
+                makespan_ms: small.makespan_ms(),
+                cost: small.total_cost(),
+                oom: small.any_oom(),
+                accepted: false,
+            }
+        );
         assert!(
             (trace.total_runtime_ms() - (big.makespan_ms() + small.makespan_ms())).abs() < 1e-9
         );
         assert!((trace.total_cost() - (big.total_cost() + small.total_cost())).abs() < 1e-9);
         assert_eq!(trace.runtime_series().len(), 2);
-        assert_eq!(trace.cost_series().len(), 2);
+        assert_eq!(
+            trace.cost_series(),
+            vec![big.total_cost(), small.total_cost()]
+        );
+    }
+
+    fn sample(makespan_ms: f64, cost: f64, oom: bool) -> SearchSample {
+        SearchSample {
+            makespan_ms,
+            cost,
+            oom,
+            accepted: true,
+        }
     }
 
     #[test]
     fn best_cost_series_ignores_slo_violations_and_oom() {
-        let mut trace = SearchTrace::new();
-        // Hand-craft samples: a violating one followed by a good one.
-        trace.samples.push(SearchSample {
-            index: 1,
-            makespan_ms: 500.0,
-            cost: 10.0,
-            oom: false,
-            accepted: false,
-            label: "too slow".into(),
-        });
-        trace.samples.push(SearchSample {
-            index: 2,
-            makespan_ms: 100.0,
-            cost: 50.0,
-            oom: true,
-            accepted: false,
-            label: "oom".into(),
-        });
-        trace.samples.push(SearchSample {
-            index: 3,
-            makespan_ms: 100.0,
-            cost: 30.0,
-            oom: false,
-            accepted: true,
-            label: "good".into(),
-        });
+        // Hand-craft samples: a too-slow one, an OOM one, then a good one.
+        let trace = SearchTrace {
+            samples: vec![
+                sample(500.0, 10.0, false),
+                sample(100.0, 50.0, true),
+                sample(100.0, 30.0, false),
+            ],
+        };
         let series = trace.best_cost_series(200.0);
         assert!(series[0].is_infinite());
         assert!(series[1].is_infinite());
@@ -320,29 +306,13 @@ mod tests {
     }
 
     #[test]
-    fn append_moves_samples_and_reindexes() {
-        let sample = |label: &str| SearchSample {
-            index: 99,
-            makespan_ms: 1.0,
-            cost: 2.0,
-            oom: false,
-            accepted: true,
-            label: label.into(),
+    fn append_moves_samples_in_order() {
+        let trace = |costs: &[f64]| SearchTrace {
+            samples: costs.iter().map(|&c| sample(1.0, c, false)).collect(),
         };
-        let mut a = SearchTrace::new();
-        a.push(sample("a1"));
-        let mut b = SearchTrace::new();
-        b.push(sample("b1"));
-        b.push(sample("b2"));
-        a.append(b);
-        assert_eq!(
-            a.samples().iter().map(|s| &s.label[..]).collect::<Vec<_>>(),
-            vec!["a1", "b1", "b2"]
-        );
-        assert_eq!(
-            a.samples().iter().map(|s| s.index).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
+        let mut a = trace(&[1.0]);
+        a.append(trace(&[2.0, 3.0]));
+        assert_eq!(a.cost_series(), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -95,8 +95,7 @@ impl SearchStrategy for PlannedBatches {
     fn tell(&mut self, _env: &WorkflowEnvironment, results: &[SimResult]) -> Result<(), AarcError> {
         let base = self.counter - results.len() as u32;
         for (i, result) in results.iter().enumerate() {
-            self.trace
-                .record(result, true, format!("candidate {}", base + i as u32));
+            self.trace.record(result, true);
             let configs = self.candidate(base + i as u32);
             let better = self
                 .best

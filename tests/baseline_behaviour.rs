@@ -2,10 +2,46 @@
 //! behaviours — the properties the paper's discussion attributes to each
 //! method.
 
-use aarc::baselines::{RandomSearch, RandomSearchParams};
+use aarc::baselines::{methods, RandomSearch, RandomSearchParams};
 use aarc::prelude::*;
 use aarc::workloads::{chatbot, ml_pipeline, video_analysis};
 use aarc_simulator::metrics::fluctuation_amplitude;
+
+/// Steps the registered method `name` to completion through a session on
+/// `workload` and returns the samples its trace recorded with the
+/// evaluations the session ran.
+fn samples_and_evals(name: &str, workload: &Workload) -> (u64, u64) {
+    let env = workload.env();
+    let strategy = methods::build(name)
+        .expect("registered method")
+        .strategy(env, workload.slo_ms())
+        .expect("the SLO is valid");
+    let service = EvalService::with_threads(1);
+    let mut session =
+        SearchSession::with_slo(strategy, service.register(env.clone()), workload.slo_ms());
+    while session.step() == SessionState::Running {}
+    let evals = session.progress().evals;
+    let outcome = session
+        .into_outcome()
+        .expect("the session finished")
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    (outcome.trace.sample_count() as u64, evals)
+}
+
+#[test]
+fn baselines_record_one_sample_per_evaluation_except_maffs_closing_one() {
+    for workload in [chatbot(), ml_pipeline(), video_analysis()] {
+        let name = workload.name();
+        for method in ["bo", "random"] {
+            let (samples, evals) = samples_and_evals(method, &workload);
+            assert_eq!(samples, evals, "{method} on {name}");
+        }
+        // MAFF re-evaluates its settled configuration once at the end; that
+        // closing evaluation is the search's result, not a sample.
+        let (samples, evals) = samples_and_evals("maff", &workload);
+        assert_eq!(samples + 1, evals, "maff on {name}");
+    }
+}
 
 #[test]
 fn bo_cost_series_is_unstable_while_aarc_trends_downwards() {

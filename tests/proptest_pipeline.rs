@@ -44,19 +44,27 @@ proptest! {
         prop_assert_eq!(outcome.best_configs.len(), env.workflow().len());
     }
 
-    /// The sample trace is consistent: indices are 1..=n and totals equal
-    /// the series sums.
+    /// The sample trace is consistent: AARC records one sample per
+    /// evaluation the session ran (every probe, its re-executions and the
+    /// SLO guard included), and the totals equal the series sums.
     #[test]
     fn search_traces_are_consistent(seed in 0u64..10_000) {
         let workload = workload_from_seed(seed, 3, 2);
-        let scheduler = GraphCentricScheduler::new(AarcParams::fast());
-        let outcome = scheduler
-            .search(workload.env(), workload.slo_ms())
+        let env = workload.env();
+        let strategy = GraphCentricScheduler::new(AarcParams::fast())
+            .strategy(env, workload.slo_ms())
+            .expect("the SLO is valid");
+        let service = EvalService::with_threads(1);
+        let mut session =
+            SearchSession::with_slo(strategy, service.register(env.clone()), workload.slo_ms());
+        while session.step() == SessionState::Running {}
+        let evals = session.progress().evals;
+        let outcome = session
+            .into_outcome()
+            .expect("the session finished")
             .expect("search succeeds");
         let trace = &outcome.trace;
-        for (i, sample) in trace.samples().iter().enumerate() {
-            prop_assert_eq!(sample.index, i + 1);
-        }
+        prop_assert_eq!(trace.sample_count() as u64, evals);
         let runtime_sum: f64 = trace.runtime_series().iter().sum();
         prop_assert!((runtime_sum - trace.total_runtime_ms()).abs() < 1e-6);
         let cost_sum: f64 = trace.cost_series().iter().sum();
